@@ -61,11 +61,6 @@ inline bool TraceRequested(const BenchArgs& args) {
 void WriteTraceJson(const BenchArgs& args,
                     const std::vector<obs::SpanExportGroup>& groups);
 
-[[deprecated("use bench::ParseCommonFlags")]]
-inline BenchArgs ParseArgs(int argc, char** argv) {
-  return ParseCommonFlags(argc, argv);
-}
-
 // Calibration for a device profile, computed once per process. Thread-safe;
 // still, call it once per profile before a parallel sweep (a cold first
 // lookup runs a calibration sim under the cache lock, serializing workers).
@@ -81,7 +76,7 @@ const ssd::CalibrationTable& TableFor(const ssd::DeviceProfile& profile);
 class SweepRunner {
  public:
   // jobs <= 1 runs cells inline on the calling thread (no pool, no
-  // threads). jobs == 0 is resolved by ParseArgs, not here.
+  // threads). jobs == 0 is resolved by ParseCommonFlags, not here.
   explicit SweepRunner(int jobs) : jobs_(jobs) {}
 
   // Runs fn(i) for every i in [0, count), distributing cells to workers by

@@ -37,7 +37,7 @@ Status ValidateGlobal(const GlobalReservation& r) {
 
 // --- TenantHandle ---
 
-// The retry loop shared by Put/Delete/Get: bounded attempts with
+// The retry loop shared by Put/Delete/Get/Scan: bounded attempts with
 // exponential backoff on kUnavailable, under an optional per-request
 // deadline. Returning `true` means "retry"; `false` means give up — the
 // caller surfaces either the last underlying error (budget exhausted) or
@@ -95,52 +95,44 @@ struct RetryState {
   }
 };
 
+const Status& StatusOf(const Status& s) { return s; }
+template <typename T>
+const Status& StatusOf(const Result<T>& r) {
+  return r.status();
+}
+
 }  // namespace
+
+template <typename R, typename Attempt>
+sim::Task<R> TenantHandle::Retrying(Attempt attempt) const {
+  if (!valid()) {
+    co_return R(Status::FailedPrecondition("invalid tenant handle"));
+  }
+  RetryState retry(cluster_->options_.retry, cluster_->loop_);
+  for (;;) {
+    R r = co_await attempt();
+    if (retry.Exhausted(StatusOf(r))) {
+      co_return retry.deadline_hit ? R(retry.DeadlineError(StatusOf(r))) : r;
+    }
+    co_await retry.Backoff();
+  }
+}
 
 sim::Task<Status> TenantHandle::Put(const std::string& key,
                                     const std::string& value) {
-  if (!valid()) {
-    co_return Status::FailedPrecondition("invalid tenant handle");
-  }
-  RetryState retry(cluster_->options_.retry, cluster_->loop_);
-  for (;;) {
-    Status s = co_await cluster_->Put(tenant_, key, value);
-    if (retry.Exhausted(s)) {
-      co_return retry.deadline_hit ? retry.DeadlineError(s) : s;
-    }
-    co_await retry.Backoff();
-  }
+  return Retrying<Status>(
+      [this, &key, &value] { return cluster_->Write(tenant_, key, value); });
 }
 
 sim::Task<Status> TenantHandle::Delete(const std::string& key) {
-  if (!valid()) {
-    co_return Status::FailedPrecondition("invalid tenant handle");
-  }
-  RetryState retry(cluster_->options_.retry, cluster_->loop_);
-  for (;;) {
-    Status s = co_await cluster_->Delete(tenant_, key);
-    if (retry.Exhausted(s)) {
-      co_return retry.deadline_hit ? retry.DeadlineError(s) : s;
-    }
-    co_await retry.Backoff();
-  }
+  return Retrying<Status>([this, &key] {
+    return cluster_->Write(tenant_, key, std::nullopt);
+  });
 }
 
 sim::Task<Result<std::string>> TenantHandle::Get(const std::string& key) {
-  if (!valid()) {
-    co_return Result<std::string>(
-        Status::FailedPrecondition("invalid tenant handle"));
-  }
-  RetryState retry(cluster_->options_.retry, cluster_->loop_);
-  for (;;) {
-    Result<std::string> r = co_await cluster_->Get(tenant_, key);
-    if (retry.Exhausted(r.status())) {
-      co_return retry.deadline_hit
-          ? Result<std::string>(retry.DeadlineError(r.status()))
-          : r;
-    }
-    co_await retry.Backoff();
-  }
+  return Retrying<Result<std::string>>(
+      [this, &key] { return cluster_->Get(tenant_, key); });
 }
 
 namespace {
@@ -156,6 +148,20 @@ sim::Task<void> NodeGetInto(kv::StorageNode* node, TenantId tenant,
                             std::string key, TraceContext ctx,
                             Result<std::string>* out) {
   *out = co_await node->Get(tenant, key, ctx);
+}
+
+// Node side of a batched slot-group lookup: the lookups fan out
+// concurrently on the node's own loop; results come back in `keys` order.
+sim::Task<std::vector<Result<std::string>>> NodeMultiGet(
+    kv::StorageNode& node, TenantId tenant, std::vector<std::string> keys,
+    TraceContext ctx) {
+  std::vector<Result<std::string>> results(keys.size());
+  sim::TaskGroup group(node.loop());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    group.Spawn(NodeGetInto(&node, tenant, keys[i], ctx, &results[i]));
+  }
+  co_await group.Join();
+  co_return results;
 }
 
 // Records the cluster-layer root span of one routed request (no-op when the
@@ -221,21 +227,9 @@ sim::Task<std::vector<Result<std::string>>> TenantHandle::MultiGet(
 sim::Task<Result<ScanEntries>> TenantHandle::Scan(const std::string& start,
                                                   const std::string& end,
                                                   size_t limit) {
-  if (!valid()) {
-    co_return Result<ScanEntries>(
-        Status::FailedPrecondition("invalid tenant handle"));
-  }
-  RetryState retry(cluster_->options_.retry, cluster_->loop_);
-  for (;;) {
-    Result<ScanEntries> r =
-        co_await cluster_->Scan(tenant_, start, end, limit);
-    if (retry.Exhausted(r.status())) {
-      co_return retry.deadline_hit
-          ? Result<ScanEntries>(retry.DeadlineError(r.status()))
-          : r;
-    }
-    co_await retry.Backoff();
-  }
+  return Retrying<Result<ScanEntries>>([this, &start, &end, limit] {
+    return cluster_->Scan(tenant_, start, end, limit);
+  });
 }
 
 // --- Cluster ---
@@ -317,281 +311,152 @@ void Cluster::Stop() {
   }
 }
 
-// --- cross-node seam ---
-//
-// Serial mode: direct calls, byte-identical to the historical inlined
-// paths. Parallel mode: request/response MultiLoop messages. The server
-// coroutine runs detached on the node's loop; the response message runs on
-// the coordinator loop and completes the caller's OneShot there, so the
-// OneShot (like all routing state) is touched only by the coordinator.
-// Per-channel FIFO at equal delays means control messages (tenant install,
-// crash) are never overtaken by requests sent after them.
+// --- cross-node seam (see cluster.h) ---
 
-sim::Task<Status> Cluster::NodePut(int node, TenantId tenant, std::string key,
-                                   std::string value, TraceContext ctx,
-                                   SimDuration request_delay) {
-  if (multi_ == nullptr) {
-    co_return co_await nodes_[node]->Put(tenant, key, value, ctx);
-  }
-  sim::OneShot<Status> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), request_delay,
-               [this, node, tenant, key = std::move(key),
-                value = std::move(value), ctx, &done]() mutable {
-                 sim::Detach(PutServer(node, tenant, std::move(key),
-                                       std::move(value), ctx, &done));
-               });
-  co_return co_await done.Wait();
-}
+namespace {
 
-sim::Task<void> Cluster::PutServer(int node, TenantId tenant, std::string key,
-                                   std::string value, TraceContext ctx,
-                                   sim::OneShot<Status>* done) {
-  Status s = co_await nodes_[node]->Put(tenant, key, value, ctx);
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, s = std::move(s)]() mutable { done->Set(std::move(s)); });
-}
-
-sim::Task<Status> Cluster::NodeDelete(int node, TenantId tenant,
-                                      std::string key, TraceContext ctx,
-                                      SimDuration request_delay) {
-  if (multi_ == nullptr) {
-    co_return co_await nodes_[node]->Delete(tenant, key, ctx);
-  }
-  sim::OneShot<Status> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), request_delay,
-               [this, node, tenant, key = std::move(key), ctx,
-                &done]() mutable {
-                 sim::Detach(DeleteServer(node, tenant, std::move(key), ctx,
-                                          &done));
-               });
-  co_return co_await done.Wait();
-}
-
-sim::Task<void> Cluster::DeleteServer(int node, TenantId tenant,
-                                      std::string key, TraceContext ctx,
-                                      sim::OneShot<Status>* done) {
-  Status s = co_await nodes_[node]->Delete(tenant, key, ctx);
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, s = std::move(s)]() mutable { done->Set(std::move(s)); });
-}
-
-sim::Task<Result<std::string>> Cluster::NodeGet(int node, TenantId tenant,
-                                                std::string key,
-                                                TraceContext ctx,
-                                                SimDuration request_delay) {
-  if (multi_ == nullptr) {
-    co_return co_await nodes_[node]->Get(tenant, key, ctx);
-  }
-  sim::OneShot<Result<std::string>> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), request_delay,
-               [this, node, tenant, key = std::move(key), ctx,
-                &done]() mutable {
-                 sim::Detach(GetServer(node, tenant, std::move(key), ctx,
-                                       &done));
-               });
-  co_return co_await done.Wait();
-}
-
-sim::Task<void> Cluster::GetServer(int node, TenantId tenant, std::string key,
-                                   TraceContext ctx,
-                                   sim::OneShot<Result<std::string>>* done) {
-  Result<std::string> r = co_await nodes_[node]->Get(tenant, key, ctx);
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
+// The node-side half of a parallel CallOnNode: owns `fn` for the whole
+// node-side task, then sends the result home on `reply_delay`.
+template <typename R, typename Fn>
+sim::Task<void> ServeOnNode(sim::MultiLoop* engine, int node_loop,
+                            SimDuration reply_delay, kv::StorageNode* node,
+                            Fn fn, sim::OneShot<R>* done) {
+  R r = co_await fn(*node);
+  engine->Send(node_loop, 0, reply_delay,
                [done, r = std::move(r)]() mutable { done->Set(std::move(r)); });
 }
 
-sim::Task<std::vector<Result<std::string>>> Cluster::NodeMultiGet(
-    int node, TenantId tenant, std::vector<std::string> keys,
-    TraceContext ctx) {
-  sim::OneShot<std::vector<Result<std::string>>> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [this, node, tenant, keys = std::move(keys), ctx,
-                &done]() mutable {
-                 sim::Detach(MultiGetServer(node, tenant, std::move(keys), ctx,
-                                            &done));
-               });
-  co_return co_await done.Wait();
-}
+}  // namespace
 
-sim::Task<void> Cluster::MultiGetServer(
-    int node, TenantId tenant, std::vector<std::string> keys, TraceContext ctx,
-    sim::OneShot<std::vector<Result<std::string>>>* done) {
-  std::vector<Result<std::string>> results(keys.size());
-  sim::TaskGroup group(multi_->loop(NodeLoopIndex(node)));
-  for (size_t i = 0; i < keys.size(); ++i) {
-    group.Spawn(
-        NodeGetInto(nodes_[node].get(), tenant, keys[i], ctx, &results[i]));
-  }
-  co_await group.Join();
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, results = std::move(results)]() mutable {
-                 done->Set(std::move(results));
-               });
-}
-
-sim::Task<lsm::LsmDb::ScanResult> Cluster::NodeScan(
-    int node, TenantId tenant, std::string start, std::string end,
-    size_t limit, TraceContext ctx, SimDuration request_delay) {
+template <typename Fn>
+sim::Task<Cluster::NodeReply<Fn>> Cluster::CallOnNode(
+    int node, SimDuration request_delay, Fn fn) {
+  kv::StorageNode* n = nodes_[node].get();
   if (multi_ == nullptr) {
-    co_return co_await nodes_[node]->Scan(tenant, start, end, limit, ctx);
+    co_return co_await fn(*n);
   }
-  sim::OneShot<lsm::LsmDb::ScanResult> done(loop_);
+  sim::OneShot<NodeReply<Fn>> done(loop_);
   multi_->Send(0, NodeLoopIndex(node), request_delay,
-               [this, node, tenant, start = std::move(start),
-                end = std::move(end), limit, ctx, &done]() mutable {
-                 sim::Detach(ScanServer(node, tenant, std::move(start),
-                                        std::move(end), limit, ctx, &done));
+               [this, node, n, fn = std::move(fn), &done]() mutable {
+                 sim::Detach(ServeOnNode(multi_, NodeLoopIndex(node),
+                                         options_.rpc_latency, n,
+                                         std::move(fn), &done));
                });
   co_return co_await done.Wait();
 }
 
-sim::Task<void> Cluster::ScanServer(
-    int node, TenantId tenant, std::string start, std::string end,
-    size_t limit, TraceContext ctx,
-    sim::OneShot<lsm::LsmDb::ScanResult>* done) {
-  lsm::LsmDb::ScanResult r =
-      co_await nodes_[node]->Scan(tenant, start, end, limit, ctx);
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, r = std::move(r)]() mutable { done->Set(std::move(r)); });
-}
-
-sim::Task<Result<std::vector<std::pair<std::string, std::string>>>>
-Cluster::NodeScanSlots(int node, TenantId tenant, std::vector<int> slots,
-                       iosched::IoTag tag, const char* missing_msg) {
-  using Entries = std::vector<std::pair<std::string, std::string>>;
+template <typename Fn>
+Status Cluster::PostToNode(int node, Fn fn) {
+  kv::StorageNode* n = nodes_[node].get();
   if (multi_ == nullptr) {
-    lsm::LsmDb* db = nodes_[node]->partition(tenant);
-    if (db == nullptr) {
-      co_return Result<Entries>(Status::Internal(missing_msg));
+    if constexpr (std::is_void_v<std::invoke_result_t<Fn&, kv::StorageNode&>>) {
+      fn(*n);
+      return Status::Ok();
+    } else {
+      return fn(*n);
     }
-    Entries entries;
-    Status scan = co_await db->ScanLive(
-        tag, [&](std::string_view k, std::string_view v) {
-          const int slot = shard_map_.SlotOfKey(k);
-          if (std::find(slots.begin(), slots.end(), slot) != slots.end()) {
-            entries.emplace_back(std::string(k), std::string(v));
-          }
-        });
-    if (!scan.ok()) {
-      co_return Result<Entries>(std::move(scan));
-    }
-    co_return Result<Entries>(std::move(entries));
   }
-  sim::OneShot<Result<Entries>> done(loop_);
   multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [this, node, tenant, slots = std::move(slots), tag, missing_msg,
-                &done]() mutable {
-                 sim::Detach(ScanSlotsServer(node, tenant, std::move(slots),
-                                             tag, missing_msg, &done));
-               });
-  co_return co_await done.Wait();
+               [n, fn = std::move(fn)]() mutable { (void)fn(*n); });
+  return Status::Ok();
 }
 
-sim::Task<void> Cluster::ScanSlotsServer(
-    int node, TenantId tenant, std::vector<int> slots, iosched::IoTag tag,
-    const char* missing_msg,
-    sim::OneShot<Result<std::vector<std::pair<std::string, std::string>>>>*
-        done) {
-  using Entries = std::vector<std::pair<std::string, std::string>>;
-  Result<Entries> result;
-  lsm::LsmDb* db = nodes_[node]->partition(tenant);
+// Trivially destructible on purpose: GCC 12 destroys a class temporary
+// with a non-trivial destructor twice when it appears in a co_await
+// expression, and the gate is always awaited as one.
+struct Cluster::RpcGate {
+  sim::SleepAwaiter sleep;  // the injected delay (serial engine only)
+  bool drop;
+  const NodeState* liveness;  // checked after the sleep; nullptr = skip
+  int node;
+  SimDuration request_delay;
+
+  bool await_ready() const noexcept { return sleep.await_ready(); }
+  void await_suspend(std::coroutine_handle<> h) { sleep.await_suspend(h); }
+  Result<SimDuration> await_resume() const {
+    if (drop) {
+      return Result<SimDuration>(Status::Unavailable(
+          "rpc to node " + std::to_string(node) + " dropped (injected)"));
+    }
+    if (liveness != nullptr && !liveness->alive) {
+      return Result<SimDuration>(
+          Status::Unavailable("node " + std::to_string(node) + " down"));
+    }
+    return Result<SimDuration>(request_delay);
+  }
+};
+
+Cluster::RpcGate Cluster::GateRpc(TenantId tenant, int node,
+                                  bool check_alive) {
+  RpcFault f;
+  if (rpc_faults_ != nullptr) {
+    f = rpc_faults_->OnRpc(tenant, node);
+  }
+  const bool serial = multi_ == nullptr;
+  SimDuration request_delay = options_.rpc_latency;
+  if (!serial && f.delay > 0) {
+    request_delay = f.delay;
+  }
+  return RpcGate{sim::SleepFor(loop_, serial ? f.delay : 0), f.drop,
+                 check_alive ? &node_state_[node] : nullptr, node,
+                 request_delay};
+}
+
+obs::SpanCollector* Cluster::RequestSpans(int node) const {
+  return multi_ != nullptr ? client_spans_.get()
+                           : nodes_[node]->scheduler().spans();
+}
+
+sim::Task<Result<ScanEntries>> Cluster::ScanSlots(
+    kv::StorageNode& node, TenantId tenant, std::vector<int> slots,
+    iosched::IoTag tag, const char* missing_msg) const {
+  lsm::LsmDb* db = node.partition(tenant);
   if (db == nullptr) {
-    result = Result<Entries>(Status::Internal(missing_msg));
-  } else {
-    Entries entries;
-    // ShardMap::SlotOfKey is a pure hash of the key (no placement state),
-    // so calling it from the node's thread is safe.
-    Status scan = co_await db->ScanLive(
-        tag, [&](std::string_view k, std::string_view v) {
-          const int slot = shard_map_.SlotOfKey(k);
-          if (std::find(slots.begin(), slots.end(), slot) != slots.end()) {
-            entries.emplace_back(std::string(k), std::string(v));
-          }
-        });
-    result = scan.ok() ? Result<Entries>(std::move(entries))
-                       : Result<Entries>(std::move(scan));
+    co_return Result<ScanEntries>(Status::Internal(missing_msg));
   }
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, result = std::move(result)]() mutable {
-                 done->Set(std::move(result));
-               });
+  ScanEntries entries;
+  // ShardMap::SlotOfKey is a pure hash of the key (no placement state), so
+  // calling it from the node's thread is safe.
+  Status scan = co_await db->ScanLive(
+      tag, [&](std::string_view k, std::string_view v) {
+        const int slot = shard_map_.SlotOfKey(k);
+        if (std::find(slots.begin(), slots.end(), slot) != slots.end()) {
+          entries.emplace_back(std::string(k), std::string(v));
+        }
+      });
+  if (!scan.ok()) {
+    co_return Result<ScanEntries>(std::move(scan));
+  }
+  co_return Result<ScanEntries>(std::move(entries));
 }
 
-sim::Task<Cluster::ApplyResult> Cluster::NodeApplyOps(
-    int node, TenantId tenant,
-    std::vector<std::pair<std::string, std::string>> puts,
+sim::Task<Cluster::ApplyResult> Cluster::ApplyOps(
+    kv::StorageNode& node, TenantId tenant, ScanEntries puts,
     std::vector<std::string> deletes, TraceContext ctx, iosched::InternalOp op,
     const char* missing_msg) {
-  if (multi_ == nullptr) {
-    ApplyResult result;
-    lsm::LsmDb* db = nodes_[node]->partition(tenant);
-    if (db == nullptr) {
-      result.status = Status::Internal(missing_msg);
-      co_return result;
-    }
-    for (const auto& [k, v] : puts) {
-      if (Status s = co_await db->Put(k, v, ctx, op); !s.ok()) {
-        result.status = std::move(s);
-        co_return result;
-      }
-      ++result.puts_applied;
-      result.put_key_bytes += k.size();
-      result.put_value_bytes += v.size();
-    }
-    for (const std::string& k : deletes) {
-      if (Status s = co_await db->Delete(k, ctx, op); !s.ok()) {
-        result.status = std::move(s);
-        co_return result;
-      }
-      ++result.deletes_applied;
-    }
-    co_return result;
-  }
-  sim::OneShot<ApplyResult> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [this, node, tenant, puts = std::move(puts),
-                deletes = std::move(deletes), ctx, op, missing_msg,
-                &done]() mutable {
-                 sim::Detach(ApplyOpsServer(node, tenant, std::move(puts),
-                                            std::move(deletes), ctx, op,
-                                            missing_msg, &done));
-               });
-  co_return co_await done.Wait();
-}
-
-sim::Task<void> Cluster::ApplyOpsServer(
-    int node, TenantId tenant,
-    std::vector<std::pair<std::string, std::string>> puts,
-    std::vector<std::string> deletes, TraceContext ctx, iosched::InternalOp op,
-    const char* missing_msg, sim::OneShot<ApplyResult>* done) {
   ApplyResult result;
-  lsm::LsmDb* db = nodes_[node]->partition(tenant);
+  lsm::LsmDb* db = node.partition(tenant);
   if (db == nullptr) {
     result.status = Status::Internal(missing_msg);
-  } else {
-    for (const auto& [k, v] : puts) {
-      if (Status s = co_await db->Put(k, v, ctx, op); !s.ok()) {
-        result.status = std::move(s);
-        break;
-      }
-      ++result.puts_applied;
-      result.put_key_bytes += k.size();
-      result.put_value_bytes += v.size();
-    }
-    if (result.status.ok()) {
-      for (const std::string& k : deletes) {
-        if (Status s = co_await db->Delete(k, ctx, op); !s.ok()) {
-          result.status = std::move(s);
-          break;
-        }
-        ++result.deletes_applied;
-      }
-    }
+    co_return result;
   }
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, result = std::move(result)]() mutable {
-                 done->Set(std::move(result));
-               });
+  for (const auto& [k, v] : puts) {
+    if (Status s = co_await db->Put(k, v, ctx, op); !s.ok()) {
+      result.status = std::move(s);
+      co_return result;
+    }
+    ++result.puts_applied;
+    result.put_key_bytes += k.size();
+    result.put_value_bytes += v.size();
+  }
+  for (const std::string& k : deletes) {
+    if (Status s = co_await db->Delete(k, ctx, op); !s.ok()) {
+      result.status = std::move(s);
+      co_return result;
+    }
+    ++result.deletes_applied;
+  }
+  co_return result;
 }
 
 lsm::CompactionPolicy Cluster::CompactionOf(TenantId tenant) const {
@@ -606,126 +471,10 @@ obs::DeclaredAttribution Cluster::DeclaredOf(TenantId tenant) const {
                               : it->second.declared;
 }
 
-Status Cluster::NodeEnsureTenant(int node, TenantId tenant) {
-  const lsm::CompactionPolicy compaction = CompactionOf(tenant);
-  const obs::DeclaredAttribution declared = DeclaredOf(tenant);
-  if (multi_ == nullptr) {
-    if (!nodes_[node]->HasTenant(tenant)) {
-      return nodes_[node]->AddTenant(tenant, Reservation{}, declared,
-                                     compaction);
-    }
-    return Status::Ok();
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [n, tenant, compaction, declared] {
-                 if (!n->HasTenant(tenant)) {
-                   (void)n->AddTenant(tenant, Reservation{}, declared,
-                                      compaction);
-                 }
-               });
-  return Status::Ok();
-}
-
-Status Cluster::NodeInstallReservation(int node, TenantId tenant,
-                                       Reservation share) {
-  const lsm::CompactionPolicy compaction = CompactionOf(tenant);
-  const obs::DeclaredAttribution declared = DeclaredOf(tenant);
-  if (multi_ == nullptr) {
-    return nodes_[node]->HasTenant(tenant)
-               ? nodes_[node]->UpdateReservation(tenant, share)
-               : nodes_[node]->AddTenant(tenant, share, declared, compaction);
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [n, tenant, share, compaction, declared] {
-    if (n->HasTenant(tenant)) {
-      (void)n->UpdateReservation(tenant, share);
-    } else {
-      (void)n->AddTenant(tenant, share, declared, compaction);
-    }
-  });
-  return Status::Ok();
-}
-
-Status Cluster::NodeZeroReservation(int node, TenantId tenant) {
-  if (multi_ == nullptr) {
-    if (nodes_[node]->HasTenant(tenant)) {
-      return nodes_[node]->UpdateReservation(tenant, Reservation{});
-    }
-    return Status::Ok();
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency, [n, tenant] {
-    if (n->HasTenant(tenant)) {
-      (void)n->UpdateReservation(tenant, Reservation{});
-    }
-  });
-  return Status::Ok();
-}
-
-void Cluster::NodeRecordReplTrigger(int node, TenantId tenant) {
-  if (multi_ == nullptr) {
-    nodes_[node]->tracker().RecordTrigger(tenant, AppRequest::kPut,
-                                          iosched::InternalOp::kReplicate);
-    return;
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency, [n, tenant] {
-    n->tracker().RecordTrigger(tenant, AppRequest::kPut,
-                               iosched::InternalOp::kReplicate);
-  });
-}
-
-void Cluster::NodeRecordReplDone(int node, TenantId tenant) {
-  if (multi_ == nullptr) {
-    nodes_[node]->tracker().RecordInternalOpDone(
-        tenant, iosched::InternalOp::kReplicate);
-    return;
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency, [n, tenant] {
-    n->tracker().RecordInternalOpDone(tenant,
-                                      iosched::InternalOp::kReplicate);
-  });
-}
-
-void Cluster::NodeCrash(int node) {
-  if (multi_ == nullptr) {
-    nodes_[node]->Crash();
-    return;
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [n] { n->Crash(); });
-}
-
-sim::Task<Status> Cluster::NodeRestart(int node) {
-  if (multi_ == nullptr) {
-    co_return co_await nodes_[node]->Restart();
-  }
-  sim::OneShot<Status> done(loop_);
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [this, node, &done] {
-                 sim::Detach(RestartServer(node, &done));
-               });
-  co_return co_await done.Wait();
-}
-
-sim::Task<void> Cluster::RestartServer(int node, sim::OneShot<Status>* done) {
-  Status s = co_await nodes_[node]->Restart();
-  multi_->Send(NodeLoopIndex(node), 0, options_.rpc_latency,
-               [done, s = std::move(s)]() mutable { done->Set(std::move(s)); });
-}
-
 void Cluster::InjectGcStall(int node, SimDuration stall) {
-  if (multi_ == nullptr) {
-    nodes_[node]->device().InjectGcStall(stall);
-    return;
-  }
-  kv::StorageNode* n = nodes_[node].get();
-  multi_->Send(0, NodeLoopIndex(node), options_.rpc_latency,
-               [n, stall] { n->device().InjectGcStall(stall); });
+  (void)PostToNode(node, [stall](kv::StorageNode& n) {
+    n.device().InjectGcStall(stall);
+  });
 }
 
 double Cluster::AdmissionPrice(AppRequest app) const {
@@ -844,13 +593,28 @@ Status Cluster::ApplySplit(TenantId tenant,
       continue;  // dead node: its policy is stopped; resplit covers it later
     }
     if (split.count(n) == 0) {
-      if (Status s = NodeZeroReservation(n, tenant); !s.ok()) {
+      Status s = PostToNode(n, [tenant](kv::StorageNode& node) {
+        return node.HasTenant(tenant)
+                   ? node.UpdateReservation(tenant, Reservation{})
+                   : Status::Ok();
+      });
+      if (!s.ok()) {
         return s;
       }
     }
   }
+  // The parallel engine posts the installs fire-and-forget (the shares
+  // were validated at admission); only the serial engine can fail here.
+  const lsm::CompactionPolicy compaction = CompactionOf(tenant);
+  const obs::DeclaredAttribution declared = DeclaredOf(tenant);
   for (const auto& [n, share] : split) {
-    if (Status s = NodeInstallReservation(n, tenant, share); !s.ok()) {
+    Status s = PostToNode(n, [tenant, share, compaction,
+                              declared](kv::StorageNode& node) {
+      return node.HasTenant(tenant)
+                 ? node.UpdateReservation(tenant, share)
+                 : node.AddTenant(tenant, share, declared, compaction);
+    });
+    if (!s.ok()) {
       return s;
     }
   }
@@ -944,62 +708,37 @@ sim::Task<int> Cluster::AwaitRoutable(TenantId tenant, int slot) {
   co_return shard_map_.HomeOf(tenant, slot);
 }
 
-// Fault semantics at the replica seam: in serial mode an injected delay is
-// slept before the (instantaneous) call, exactly as before; in parallel
-// mode it replaces the request-leg latency — which is why FaultInjector
-// enforces delay >= lookahead. A drop never reaches the node in either
-// mode.
-sim::Task<void> Cluster::PutReplica(int node, TenantId tenant, std::string key,
-                                    std::string value, TraceContext ctx,
-                                    Status* out) {
-  SimDuration request_delay = options_.rpc_latency;
-  if (rpc_faults_ != nullptr) {
-    const RpcFault f = rpc_faults_->OnRpc(tenant, node);
-    if (f.delay > 0) {
-      if (multi_ == nullptr) {
-        co_await sim::SleepFor(loop_, f.delay);
-      } else {
-        request_delay = f.delay;
-      }
-    }
-    if (f.drop) {
-      *out = Status::Unavailable("rpc to node " + std::to_string(node) +
-                                 " dropped (injected)");
-      co_return;
+int Cluster::ReadReplica(TenantId tenant, int slot) const {
+  const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
+  for (const int r : replicas) {
+    if (node_state_[r].alive && !node_state_[r].syncing) {
+      return r;
     }
   }
-  if (!node_state_[node].alive) {
-    *out = Status::Unavailable("node " + std::to_string(node) + " down");
-    co_return;
+  for (const int r : replicas) {
+    if (node_state_[r].alive) {
+      return r;
+    }
   }
-  *out = co_await NodePut(node, tenant, std::move(key), std::move(value), ctx,
-                          request_delay);
+  return -1;
 }
 
-sim::Task<void> Cluster::DeleteReplica(int node, TenantId tenant,
-                                       std::string key, TraceContext ctx,
-                                       Status* out) {
-  SimDuration request_delay = options_.rpc_latency;
-  if (rpc_faults_ != nullptr) {
-    const RpcFault f = rpc_faults_->OnRpc(tenant, node);
-    if (f.delay > 0) {
-      if (multi_ == nullptr) {
-        co_await sim::SleepFor(loop_, f.delay);
-      } else {
-        request_delay = f.delay;
-      }
-    }
-    if (f.drop) {
-      *out = Status::Unavailable("rpc to node " + std::to_string(node) +
-                                 " dropped (injected)");
-      co_return;
-    }
-  }
-  if (!node_state_[node].alive) {
-    *out = Status::Unavailable("node " + std::to_string(node) + " down");
+sim::Task<void> Cluster::WriteReplica(int node, TenantId tenant,
+                                      std::string key,
+                                      std::optional<std::string> value,
+                                      TraceContext ctx, Status* out) {
+  const Result<SimDuration> leg =
+      co_await GateRpc(tenant, node, /*check_alive=*/true);
+  if (!leg.ok()) {
+    *out = leg.status();
     co_return;
   }
-  *out = co_await NodeDelete(node, tenant, std::move(key), ctx, request_delay);
+  auto write = [tenant, key = std::move(key), value = std::move(value),
+                ctx](kv::StorageNode& n) {
+    return value.has_value() ? n.Put(tenant, key, *value, ctx)
+                             : n.Delete(tenant, key, ctx);
+  };
+  *out = co_await CallOnNode(node, leg.value(), std::move(write));
 }
 
 namespace {
@@ -1030,8 +769,8 @@ Status AggregateWrite(const std::vector<Status>& statuses) {
 
 }  // namespace
 
-sim::Task<Status> Cluster::Put(TenantId tenant, std::string key,
-                               std::string value) {
+sim::Task<Status> Cluster::Write(TenantId tenant, std::string key,
+                                 std::optional<std::string> value) {
   if (tenants_.count(tenant) == 0) {
     co_return Status::NotFound("unknown tenant " + std::to_string(tenant));
   }
@@ -1051,83 +790,32 @@ sim::Task<Status> Cluster::Put(TenantId tenant, std::string key,
   Status result = Status::Unavailable("no live replica for slot " +
                                       std::to_string(slot));
   if (!targets.empty()) {
-    // Parallel mode mints and records the client-request span in the
-    // coordinator's own collector; node collectors are never touched from
-    // this thread.
-    obs::SpanCollector* spans = multi_ != nullptr
-                                    ? client_spans_.get()
-                                    : nodes_[targets[0]]->scheduler().spans();
+    obs::SpanCollector* spans = RequestSpans(targets[0]);
     const TraceContext ctx =
         spans != nullptr ? spans->MintTrace() : TraceContext{};
     const SimTime start = loop_.Now();
+    // A put is billed by its value, a delete (tombstone) by its key.
+    const uint64_t bytes = value.has_value() ? value->size() : key.size();
     if (targets.size() == 1) {
-      co_await PutReplica(targets[0], tenant, key, value, ctx, &result);
+      co_await WriteReplica(targets[0], tenant, key, value, ctx, &result);
     } else {
       std::vector<Status> statuses(targets.size());
       sim::TaskGroup group(loop_);
       for (size_t i = 0; i < targets.size(); ++i) {
-        group.Spawn(PutReplica(targets[i], tenant, key, value, ctx,
-                               &statuses[i]));
+        group.Spawn(WriteReplica(targets[i], tenant, key, value, ctx,
+                                 &statuses[i]));
       }
       co_await group.Join();
       result = AggregateWrite(statuses);
       for (size_t i = 1; i < targets.size(); ++i) {
         if (statuses[i].ok()) {
           ++repl_[targets[i]].fanout_puts;
-          repl_[targets[i]].fanout_bytes += value.size();
+          repl_[targets[i]].fanout_bytes += bytes;
         }
       }
     }
     RecordClientSpan(spans, ctx, AppRequest::kPut, tenant, start, loop_.Now(),
-                     value.size());
-  }
-  --ss.inflight;
-  co_return result;
-}
-
-sim::Task<Status> Cluster::Delete(TenantId tenant, std::string key) {
-  if (tenants_.count(tenant) == 0) {
-    co_return Status::NotFound("unknown tenant " + std::to_string(tenant));
-  }
-  const int slot = shard_map_.SlotOfKey(key);
-  (void)co_await AwaitRoutable(tenant, slot);
-  const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
-  ShardState& ss = Shard(tenant, slot);
-  ++ss.inflight;
-  std::vector<int> targets;
-  for (const int r : replicas) {
-    if (node_state_[r].alive) {
-      targets.push_back(r);
-    }
-  }
-  Status result = Status::Unavailable("no live replica for slot " +
-                                      std::to_string(slot));
-  if (!targets.empty()) {
-    obs::SpanCollector* spans = multi_ != nullptr
-                                    ? client_spans_.get()
-                                    : nodes_[targets[0]]->scheduler().spans();
-    const TraceContext ctx =
-        spans != nullptr ? spans->MintTrace() : TraceContext{};
-    const SimTime start = loop_.Now();
-    if (targets.size() == 1) {
-      co_await DeleteReplica(targets[0], tenant, key, ctx, &result);
-    } else {
-      std::vector<Status> statuses(targets.size());
-      sim::TaskGroup group(loop_);
-      for (size_t i = 0; i < targets.size(); ++i) {
-        group.Spawn(DeleteReplica(targets[i], tenant, key, ctx, &statuses[i]));
-      }
-      co_await group.Join();
-      result = AggregateWrite(statuses);
-      for (size_t i = 1; i < targets.size(); ++i) {
-        if (statuses[i].ok()) {
-          ++repl_[targets[i]].fanout_puts;
-          repl_[targets[i]].fanout_bytes += key.size();
-        }
-      }
-    }
-    RecordClientSpan(spans, ctx, AppRequest::kPut, tenant, start, loop_.Now(),
-                     key.size());
+                     bytes);
   }
   --ss.inflight;
   co_return result;
@@ -1160,29 +848,22 @@ sim::Task<Result<std::string>> Cluster::Get(TenantId tenant, std::string key) {
   Result<std::string> result(Status::Unavailable(
       "no live replica for slot " + std::to_string(slot)));
   for (const int node : order) {
-    SimDuration request_delay = options_.rpc_latency;
-    if (rpc_faults_ != nullptr) {
-      const RpcFault f = rpc_faults_->OnRpc(tenant, node);
-      if (f.delay > 0) {
-        if (multi_ == nullptr) {
-          co_await sim::SleepFor(loop_, f.delay);
-        } else {
-          request_delay = f.delay;
-        }
-      }
-      if (f.drop) {
-        result = Result<std::string>(Status::Unavailable(
-            "rpc to node " + std::to_string(node) + " dropped (injected)"));
-        continue;  // fail over to the next replica
-      }
+    // No liveness re-check: a replica that died since `order` was taken
+    // answers kUnavailable itself.
+    const Result<SimDuration> leg =
+        co_await GateRpc(tenant, node, /*check_alive=*/false);
+    if (!leg.ok()) {
+      result = Result<std::string>(leg.status());
+      continue;  // fail over to the next replica
     }
-    obs::SpanCollector* spans = multi_ != nullptr
-                                    ? client_spans_.get()
-                                    : nodes_[node]->scheduler().spans();
+    obs::SpanCollector* spans = RequestSpans(node);
     const TraceContext ctx =
         spans != nullptr ? spans->MintTrace() : TraceContext{};
     const SimTime start = loop_.Now();
-    result = co_await NodeGet(node, tenant, key, ctx, request_delay);
+    auto get = [tenant, key, ctx](kv::StorageNode& n) {
+      return n.Get(tenant, key, ctx);
+    };
+    result = co_await CallOnNode(node, leg.value(), std::move(get));
     RecordClientSpan(spans, ctx, AppRequest::kGet, tenant, start, loop_.Now(),
                      result.ok() ? result.value().size() : 0);
     if (result.status().code() != StatusCode::kUnavailable) {
@@ -1199,11 +880,13 @@ sim::Task<Result<std::string>> Cluster::Get(TenantId tenant, std::string key) {
 sim::Task<void> Cluster::MultiGetSlotGroup(
     TenantId tenant, int slot, std::vector<std::pair<size_t, std::string>> keys,
     std::vector<Result<std::string>>* out) {
-  if (tenants_.count(tenant) == 0) {
+  const auto fail_group = [&](const Status& s) {
     for (const auto& [i, key] : keys) {
-      (*out)[i] = Result<std::string>(
-          Status::NotFound("unknown tenant " + std::to_string(tenant)));
+      (*out)[i] = Result<std::string>(s);
     }
+  };
+  if (tenants_.count(tenant) == 0) {
+    fail_group(Status::NotFound("unknown tenant " + std::to_string(tenant)));
     co_return;
   }
   ++multiget_groups_;
@@ -1211,65 +894,50 @@ sim::Task<void> Cluster::MultiGetSlotGroup(
   // One migration gate for the whole group; the same inflight accounting
   // as per-key Get so a draining migration still waits for every member.
   (void)co_await AwaitRoutable(tenant, slot);
-  // Serve from the first live synced replica (the leader when it is up);
-  // a whole group fails together when every replica is down — the per-key
-  // retry path (TenantHandle) is the recourse.
-  const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
-  int node = -1;
-  for (const int r : replicas) {
-    if (node_state_[r].alive && !node_state_[r].syncing) {
-      node = r;
-      break;
-    }
-  }
+  // A whole group fails together when every replica is down (or its one
+  // RPC is dropped) — the per-key retry path (TenantHandle) is the
+  // recourse.
+  const int node = ReadReplica(tenant, slot);
   if (node < 0) {
-    for (const int r : replicas) {
-      if (node_state_[r].alive) {
-        node = r;
-        break;
-      }
-    }
-  }
-  if (node < 0) {
-    for (const auto& [i, key] : keys) {
-      (*out)[i] = Result<std::string>(Status::Unavailable(
-          "no live replica for slot " + std::to_string(slot)));
-    }
+    fail_group(Status::Unavailable("no live replica for slot " +
+                                   std::to_string(slot)));
     co_return;
-  }
-  if (node != replicas[0]) {
-    repl_[node].failover_gets += keys.size();
   }
   ShardState& ss = Shard(tenant, slot);
   ss.inflight += static_cast<int>(keys.size());
+  // Like per-key Get, the group's one RPC passes the fault gate without a
+  // liveness re-check.
+  const Result<SimDuration> leg =
+      co_await GateRpc(tenant, node, /*check_alive=*/false);
+  if (!leg.ok()) {
+    fail_group(leg.status());
+    ss.inflight -= static_cast<int>(keys.size());
+    co_return;
+  }
+  if (node != shard_map_.HomeOf(tenant, slot)) {
+    repl_[node].failover_gets += keys.size();
+  }
   // One client-request span covers the whole slot group; each member
   // lookup becomes a child span at the node.
-  obs::SpanCollector* spans = multi_ != nullptr
-                                  ? client_spans_.get()
-                                  : nodes_[node]->scheduler().spans();
+  obs::SpanCollector* spans = RequestSpans(node);
   const TraceContext ctx =
       spans != nullptr ? spans->MintTrace() : TraceContext{};
   const SimTime start = loop_.Now();
-  if (multi_ == nullptr) {
-    sim::TaskGroup group(loop_);
-    for (const auto& [i, key] : keys) {
-      group.Spawn(
-          NodeGetInto(nodes_[node].get(), tenant, key, ctx, &(*out)[i]));
-    }
-    co_await group.Join();
-  } else {
-    // One message carries the whole group; the node fans out on its own
-    // loop and replies with results in key order.
-    std::vector<std::string> group_keys;
-    group_keys.reserve(keys.size());
-    for (const auto& [i, key] : keys) {
-      group_keys.push_back(key);
-    }
-    std::vector<Result<std::string>> results =
-        co_await NodeMultiGet(node, tenant, std::move(group_keys), ctx);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      (*out)[keys[i].first] = std::move(results[i]);
-    }
+  // One call carries the whole group; the node fans the lookups out on
+  // its own loop and replies with the results in key order.
+  std::vector<std::string> group_keys;
+  group_keys.reserve(keys.size());
+  for (const auto& [i, key] : keys) {
+    group_keys.push_back(key);
+  }
+  auto multi_get = [tenant, group_keys = std::move(group_keys),
+                    ctx](kv::StorageNode& n) mutable {
+    return NodeMultiGet(n, tenant, std::move(group_keys), ctx);
+  };
+  std::vector<Result<std::string>> results =
+      co_await CallOnNode(node, leg.value(), std::move(multi_get));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    (*out)[keys[i].first] = std::move(results[i]);
   }
   RecordClientSpan(spans, ctx, AppRequest::kGet, tenant, start, loop_.Now(),
                    keys.size());
@@ -1283,31 +951,13 @@ sim::Task<void> Cluster::ScanNodeGroup(TenantId tenant, int node,
                                        std::string start, std::string end,
                                        size_t limit,
                                        lsm::LsmDb::ScanResult* out) {
-  SimDuration request_delay = options_.rpc_latency;
-  if (rpc_faults_ != nullptr) {
-    const RpcFault f = rpc_faults_->OnRpc(tenant, node);
-    if (f.delay > 0) {
-      if (multi_ == nullptr) {
-        co_await sim::SleepFor(loop_, f.delay);
-      } else {
-        request_delay = f.delay;
-      }
-    }
-    if (f.drop) {
-      out->status = Status::Unavailable("rpc to node " +
-                                        std::to_string(node) +
-                                        " dropped (injected)");
-      co_return;
-    }
-  }
-  if (!node_state_[node].alive) {
-    out->status =
-        Status::Unavailable("node " + std::to_string(node) + " down");
+  const Result<SimDuration> leg =
+      co_await GateRpc(tenant, node, /*check_alive=*/true);
+  if (!leg.ok()) {
+    out->status = leg.status();
     co_return;
   }
-  obs::SpanCollector* spans = multi_ != nullptr
-                                  ? client_spans_.get()
-                                  : nodes_[node]->scheduler().spans();
+  obs::SpanCollector* spans = RequestSpans(node);
   const TraceContext ctx =
       spans != nullptr ? spans->MintTrace() : TraceContext{};
   const SimTime start_time = loop_.Now();
@@ -1315,8 +965,11 @@ sim::Task<void> Cluster::ScanNodeGroup(TenantId tenant, int node,
   // elsewhere, so a pushed-down limit could truncate before this group's
   // own keys surface; scan unbounded and let the coordinator truncate.
   const size_t node_limit = shard_map_.replication_factor() > 1 ? 0 : limit;
-  *out = co_await NodeScan(node, tenant, std::move(start), std::move(end),
-                           node_limit, ctx, request_delay);
+  auto scan = [tenant, start = std::move(start), end = std::move(end),
+               node_limit, ctx](kv::StorageNode& n) {
+    return n.Scan(tenant, start, end, node_limit, ctx);
+  };
+  *out = co_await CallOnNode(node, leg.value(), std::move(scan));
   uint64_t bytes = 0;
   if (out->status.ok()) {
     // Keep only the slots this node serves for the scan (SlotOfKey is a
@@ -1348,28 +1001,13 @@ sim::Task<Result<ScanEntries>> Cluster::Scan(TenantId tenant,
     co_return Result<ScanEntries>(ScanEntries{});  // empty range
   }
   // Resolve every slot's serving node in ring order: gate on migrations,
-  // then prefer the first live synced replica (the leader when it is up),
-  // falling back to any live one. A slot with no live replica fails the
-  // whole scan — a range scan must not silently skip part of the keyspace.
+  // then take the slot's read replica. A slot with no live replica fails
+  // the whole scan — a range scan must not silently skip part of the
+  // keyspace.
   std::map<int, std::vector<int>> by_node;
   for (int slot = 0; slot < shard_map_.shards_per_tenant(); ++slot) {
     (void)co_await AwaitRoutable(tenant, slot);
-    const std::vector<int> replicas = shard_map_.ReplicasOf(tenant, slot);
-    int node = -1;
-    for (const int r : replicas) {
-      if (node_state_[r].alive && !node_state_[r].syncing) {
-        node = r;
-        break;
-      }
-    }
-    if (node < 0) {
-      for (const int r : replicas) {
-        if (node_state_[r].alive) {
-          node = r;
-          break;
-        }
-      }
-    }
+    const int node = ReadReplica(tenant, slot);
     if (node < 0) {
       co_return Result<ScanEntries>(Status::Unavailable(
           "no live replica for slot " + std::to_string(slot)));
@@ -1465,7 +1103,13 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   // Best-effort registration; the provisioner assigns it a real share of
   // the global reservation at its next split. (Node-side membership checks
   // happen on the node's own loop in parallel mode.)
-  if (Status s = NodeEnsureTenant(to_node, tenant); !s.ok()) {
+  auto ensure_tenant = [tenant, compaction = CompactionOf(tenant),
+                        declared = DeclaredOf(tenant)](kv::StorageNode& n) {
+    return n.HasTenant(tenant)
+               ? Status::Ok()
+               : n.AddTenant(tenant, Reservation{}, declared, compaction);
+  };
+  if (Status s = PostToNode(to_node, std::move(ensure_tenant)); !s.ok()) {
     co_return s;
   }
 
@@ -1476,12 +1120,8 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   // the coordinator's client collector (parallel): the source span covers
   // the scan + tombstoning, the destination span (linked to the source)
   // covers the copy-in, and all device IO parents under them.
-  obs::SpanCollector* src_spans = multi_ != nullptr
-                                      ? client_spans_.get()
-                                      : nodes_[from]->scheduler().spans();
-  obs::SpanCollector* dst_spans = multi_ != nullptr
-                                      ? client_spans_.get()
-                                      : nodes_[to_node]->scheduler().spans();
+  obs::SpanCollector* src_spans = RequestSpans(from);
+  obs::SpanCollector* dst_spans = RequestSpans(to_node);
   const TraceContext src_ctx =
       src_spans != nullptr ? src_spans->MintAlways() : TraceContext{};
   const TraceContext dst_ctx =
@@ -1490,17 +1130,21 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
   const iosched::IoTag drain_tag{tenant, AppRequest::kNone,
                                  iosched::InternalOp::kNone, src_ctx};
   const char* const kMissing = "missing partition during migration";
-  std::vector<int> slot_vec(1, slot);
-  Result<std::vector<std::pair<std::string, std::string>>> scanned = co_await
-      NodeScanSlots(from, tenant, std::move(slot_vec), drain_tag, kMissing);
+  auto drain = [this, tenant, slot, drain_tag, kMissing](kv::StorageNode& n) {
+    return ScanSlots(n, tenant, {slot}, drain_tag, kMissing);
+  };
+  Result<ScanEntries> scanned =
+      co_await CallOnNode(from, options_.rpc_latency, std::move(drain));
   if (!scanned.ok()) {
     co_return scanned.status();
   }
-  std::vector<std::pair<std::string, std::string>> moving =
-      std::move(scanned.value());
+  ScanEntries moving = std::move(scanned.value());
+  auto copy = [tenant, moving, dst_ctx, kMissing](kv::StorageNode& n) mutable {
+    return ApplyOps(n, tenant, std::move(moving), {}, dst_ctx,
+                    iosched::InternalOp::kNone, kMissing);
+  };
   const ApplyResult copy_in =
-      co_await NodeApplyOps(to_node, tenant, moving, {}, dst_ctx,
-                            iosched::InternalOp::kNone, kMissing);
+      co_await CallOnNode(to_node, options_.rpc_latency, std::move(copy));
   if (!copy_in.status.ok()) {
     co_return copy_in.status;
   }
@@ -1522,9 +1166,13 @@ sim::Task<Status> Cluster::MigrateShard(TenantId tenant, int slot,
     for (const auto& [k, v] : moving) {
       dead_keys.push_back(k);
     }
+    auto tombstone = [tenant, dead_keys = std::move(dead_keys), src_ctx,
+                      kMissing](kv::StorageNode& n) mutable {
+      return ApplyOps(n, tenant, {}, std::move(dead_keys), src_ctx,
+                      iosched::InternalOp::kNone, kMissing);
+    };
     const ApplyResult tombstoned =
-        co_await NodeApplyOps(from, tenant, {}, std::move(dead_keys), src_ctx,
-                              iosched::InternalOp::kNone, kMissing);
+        co_await CallOnNode(from, options_.rpc_latency, std::move(tombstone));
     if (!tombstoned.status.ok()) {
       co_return tombstoned.status;
     }
@@ -1593,7 +1241,7 @@ Status Cluster::CrashNode(int node) {
     return Status::FailedPrecondition("node " + std::to_string(node) +
                                       " already down");
   }
-  NodeCrash(node);
+  (void)PostToNode(node, [](kv::StorageNode& n) { n.Crash(); });
   node_state_[node].alive = false;
   node_state_[node].syncing = false;
   // Immediately move the dead node's reservation mass to the survivors so
@@ -1610,7 +1258,10 @@ sim::Task<Status> Cluster::RestartNode(int node) {
     co_return Status::FailedPrecondition("node " + std::to_string(node) +
                                          " is not crashed");
   }
-  if (Status s = co_await NodeRestart(node); !s.ok()) {
+  auto restart = [](kv::StorageNode& n) { return n.Restart(); };
+  if (Status s =
+          co_await CallOnNode(node, options_.rpc_latency, std::move(restart));
+      !s.ok()) {
     co_return s;
   }
   node_state_[node].alive = true;
@@ -1703,17 +1354,33 @@ sim::Task<Status> Cluster::CatchUpTenant(TenantId tenant, int node) {
     // on the source and the copy-in on the restarted node all carry
     // InternalOp::kReplicate, so recovery lands in each node's attribution
     // matrix and interval pricing like any other background amplification.
-    NodeRecordReplTrigger(src_node, tenant);
-    NodeRecordReplTrigger(node, tenant);
+    // The trigger opens the REPL bookkeeping on both ends; `done` closes it.
+    const auto record_repl = [this, tenant](int n, bool done) {
+      (void)PostToNode(n, [tenant, done](kv::StorageNode& sn) {
+        if (done) {
+          sn.tracker().RecordInternalOpDone(tenant,
+                                            iosched::InternalOp::kReplicate);
+        } else {
+          sn.tracker().RecordTrigger(tenant, AppRequest::kPut,
+                                     iosched::InternalOp::kReplicate);
+        }
+      });
+    };
+    record_repl(src_node, false);
+    record_repl(node, false);
     const iosched::IoTag repl_tag{tenant, AppRequest::kPut,
                                   iosched::InternalOp::kReplicate,
                                   TraceContext{}};
-    Result<std::vector<std::pair<std::string, std::string>>> src_scan =
-        co_await NodeScanSlots(src_node, tenant, slots, repl_tag,
-                               "missing source partition during catch-up");
+    auto scan_src = [this, tenant, slots = slots,
+                     repl_tag](kv::StorageNode& n) {
+      return ScanSlots(n, tenant, slots, repl_tag,
+                       "missing source partition during catch-up");
+    };
+    Result<ScanEntries> src_scan = co_await CallOnNode(
+        src_node, options_.rpc_latency, std::move(scan_src));
     if (!src_scan.ok()) {
-      NodeRecordReplDone(src_node, tenant);
-      NodeRecordReplDone(node, tenant);
+      record_repl(src_node, true);
+      record_repl(node, true);
       co_return src_scan.status();
     }
     std::map<std::string, std::string> authoritative;
@@ -1724,9 +1391,13 @@ sim::Task<Status> Cluster::CatchUpTenant(TenantId tenant, int node) {
     // node was down; sweep anything the source no longer has. The slot
     // filter runs node-side (pure key hash); the authoritative diff runs
     // here against the map we just assembled.
-    Result<std::vector<std::pair<std::string, std::string>>> dst_scan =
-        co_await NodeScanSlots(node, tenant, slots, repl_tag,
-                               "missing partition during catch-up");
+    const char* const kMissing = "missing partition during catch-up";
+    auto scan_dst = [this, tenant, slots = slots, repl_tag,
+                     kMissing](kv::StorageNode& n) {
+      return ScanSlots(n, tenant, slots, repl_tag, kMissing);
+    };
+    Result<ScanEntries> dst_scan =
+        co_await CallOnNode(node, options_.rpc_latency, std::move(scan_dst));
     std::vector<std::string> stale;
     Status copy = dst_scan.status();
     if (copy.ok()) {
@@ -1735,20 +1406,25 @@ sim::Task<Status> Cluster::CatchUpTenant(TenantId tenant, int node) {
           stale.push_back(std::move(k));
         }
       }
-      std::vector<std::pair<std::string, std::string>> puts;
+      ScanEntries puts;
       puts.reserve(authoritative.size());
       for (const auto& [k, v] : authoritative) {
         puts.emplace_back(k, v);
       }
-      const ApplyResult applied = co_await NodeApplyOps(
-          node, tenant, std::move(puts), std::move(stale), TraceContext{},
-          iosched::InternalOp::kReplicate, "missing partition during catch-up");
+      auto apply = [tenant, puts = std::move(puts), stale = std::move(stale),
+                    kMissing](kv::StorageNode& n) mutable {
+        return ApplyOps(n, tenant, std::move(puts), std::move(stale),
+                        TraceContext{}, iosched::InternalOp::kReplicate,
+                        kMissing);
+      };
+      const ApplyResult applied =
+          co_await CallOnNode(node, options_.rpc_latency, std::move(apply));
       repl_[node].catchup_keys += applied.puts_applied;
       repl_[node].catchup_bytes += applied.put_value_bytes;
       copy = applied.status;
     }
-    NodeRecordReplDone(src_node, tenant);
-    NodeRecordReplDone(node, tenant);
+    record_repl(src_node, true);
+    record_repl(node, true);
     if (!copy.ok()) {
       co_return copy;
     }

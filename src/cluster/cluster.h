@@ -23,7 +23,9 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -170,6 +172,12 @@ class TenantHandle {
   friend class Cluster;
   TenantHandle(Cluster* cluster, iosched::TenantId tenant)
       : cluster_(cluster), tenant_(tenant) {}
+
+  // Runs `attempt()` (a routed request, returning Status or Result<T>)
+  // under the cluster's RetryPolicy; an invalid handle fails without
+  // calling it.
+  template <typename R, typename Attempt>
+  sim::Task<R> Retrying(Attempt attempt) const;
 
   Cluster* cluster_ = nullptr;
   iosched::TenantId tenant_ = iosched::kInvalidTenant;
@@ -335,9 +343,9 @@ class Cluster {
   }
 
   // --- request routing (TenantHandle forwards here) ---
-  sim::Task<Status> Put(iosched::TenantId tenant, std::string key,
-                        std::string value);
-  sim::Task<Status> Delete(iosched::TenantId tenant, std::string key);
+  // A write with no value is a delete: both fan out to every live replica.
+  sim::Task<Status> Write(iosched::TenantId tenant, std::string key,
+                          std::optional<std::string> value);
   sim::Task<Result<std::string>> Get(iosched::TenantId tenant,
                                      std::string key);
   sim::Task<Result<ScanEntries>> Scan(iosched::TenantId tenant,
@@ -346,6 +354,11 @@ class Cluster {
 
   // Suspends while (tenant, slot) is migrating, then returns its home node.
   sim::Task<int> AwaitRoutable(iosched::TenantId tenant, int slot);
+
+  // The replica a single-node read of `slot` goes to: the first live synced
+  // replica (the leader when it is up), else any live one; -1 when every
+  // replica is down.
+  int ReadReplica(iosched::TenantId tenant, int slot) const;
 
   // Batched MultiGet: routes one slot's key group through a single gate,
   // then fans the lookups out concurrently on the home node, writing each
@@ -366,85 +379,72 @@ class Cluster {
                                 std::string end, size_t limit,
                                 lsm::LsmDb::ScanResult* out);
 
-  // Replica write fan-out helpers (TaskGroup-spawned: parameters by value,
-  // the frames outlive the caller's loop variables).
-  sim::Task<void> PutReplica(int node, iosched::TenantId tenant,
-                             std::string key, std::string value,
-                             TraceContext ctx, Status* out);
-  sim::Task<void> DeleteReplica(int node, iosched::TenantId tenant,
-                                std::string key, TraceContext ctx,
-                                Status* out);
+  // One replica's leg of a write fan-out (TaskGroup-spawned: parameters by
+  // value, the frame outlives the caller's loop variables).
+  sim::Task<void> WriteReplica(int node, iosched::TenantId tenant,
+                               std::string key,
+                               std::optional<std::string> value,
+                               TraceContext ctx, Status* out);
 
   // --- cross-node seam ---
   //
-  // Every interaction with a StorageNode funnels through these. Serial
-  // mode: a direct call on the shared loop, byte-identical to the
-  // historical inlined paths. Parallel mode: a MultiLoop message carrying
-  // the arguments to the node's loop (request leg `request_delay`, response
-  // leg rpc_latency), where a detached server coroutine performs the
-  // operation; the reply message completes a OneShot on the coordinator
-  // loop. `request_delay` lets an injected RPC delay replace the request
-  // leg (which is why FaultInjector delays must stay >= the lookahead).
+  // Every interaction with a StorageNode goes through one of two
+  // primitives, so the engine choice is made in exactly one place. `fn`
+  // receives the target node and is taken by value: the primitive owns it
+  // (and so every argument it captured) until the node-side work finishes.
+  //
+  // CallOnNode: `fn(node)` returns the node-side sim::Task<R>. Serial
+  // engine: awaited directly on the shared loop — no message, no extra
+  // frame. Parallel engine: a request message (`request_delay`) carries
+  // `fn` to the node's loop, a detached coroutine there owns and awaits
+  // it, and a reply message (rpc_latency) completes a OneShot on the
+  // coordinator loop, so the OneShot (like all routing state) is only
+  // touched by the coordinator. `fn` itself must not be a coroutine. Name
+  // the closure and pass it with std::move rather than writing the lambda
+  // inside the co_await: GCC 12 destroys a capturing closure temporary in
+  // a co_await expression twice.
+  //
+  // PostToNode: one-way control-plane calls. Serial engine: `fn(node)`
+  // runs inline and its Status (Ok for void) is returned. Parallel engine:
+  // one message on rpc_latency, fire-and-forget, returning Ok; `fn` does
+  // its own membership checks node-side so no node state is read
+  // cross-thread. Per-channel FIFO at equal delays means control messages
+  // (tenant install, crash) are never overtaken by requests sent after
+  // them.
+  //
+  // Routed client calls first pass GateRpc, the RPC fault gate: serial
+  // engine — sleep the injected delay, then fail on a drop, then (when
+  // asked) on a dead node; parallel engine — the injected delay replaces
+  // the request leg instead of being slept (why FaultInjector delays must
+  // stay >= the lookahead). A drop never reaches the node.
 
   int NodeLoopIndex(int node) const { return node + 1; }
 
-  sim::Task<Status> NodePut(int node, iosched::TenantId tenant,
-                            std::string key, std::string value,
-                            TraceContext ctx, SimDuration request_delay);
-  sim::Task<Status> NodeDelete(int node, iosched::TenantId tenant,
-                               std::string key, TraceContext ctx,
-                               SimDuration request_delay);
-  sim::Task<Result<std::string>> NodeGet(int node, iosched::TenantId tenant,
-                                         std::string key, TraceContext ctx,
-                                         SimDuration request_delay);
-  sim::Task<void> PutServer(int node, iosched::TenantId tenant,
-                            std::string key, std::string value,
-                            TraceContext ctx, sim::OneShot<Status>* done);
-  sim::Task<void> DeleteServer(int node, iosched::TenantId tenant,
-                               std::string key, TraceContext ctx,
-                               sim::OneShot<Status>* done);
-  sim::Task<void> GetServer(int node, iosched::TenantId tenant,
-                            std::string key, TraceContext ctx,
-                            sim::OneShot<Result<std::string>>* done);
+  template <typename Fn>
+  using NodeReply =
+      typename std::invoke_result_t<Fn&, kv::StorageNode&>::value_type;
+  template <typename Fn>
+  sim::Task<NodeReply<Fn>> CallOnNode(int node, SimDuration request_delay,
+                                      Fn fn);
+  template <typename Fn>
+  Status PostToNode(int node, Fn fn);
 
-  // Batched slot-group lookup: one message carries the whole key group; the
-  // node fans the lookups out concurrently on its own loop and replies with
-  // the results in key order.
-  sim::Task<std::vector<Result<std::string>>> NodeMultiGet(
-      int node, iosched::TenantId tenant, std::vector<std::string> keys,
-      TraceContext ctx);
-  sim::Task<void> MultiGetServer(
-      int node, iosched::TenantId tenant, std::vector<std::string> keys,
-      TraceContext ctx,
-      sim::OneShot<std::vector<Result<std::string>>>* done);
+  // Awaiting the gate yields the request-leg delay for CallOnNode, or the
+  // error that ends the call before it reaches the node. An awaiter, not a
+  // coroutine, so the serial request path gains no frame.
+  struct RpcGate;
+  RpcGate GateRpc(iosched::TenantId tenant, int node, bool check_alive);
 
-  // Node-level range scan (StorageNode::Scan behind the seam): one request
-  // message per node touched; the reply carries the node's whole run.
-  sim::Task<lsm::LsmDb::ScanResult> NodeScan(int node,
-                                             iosched::TenantId tenant,
-                                             std::string start,
-                                             std::string end, size_t limit,
-                                             TraceContext ctx,
-                                             SimDuration request_delay);
-  sim::Task<void> ScanServer(int node, iosched::TenantId tenant,
-                             std::string start, std::string end, size_t limit,
-                             TraceContext ctx,
-                             sim::OneShot<lsm::LsmDb::ScanResult>* done);
+  // Where client-request and migration spans for work on `node` go: the
+  // node's own collector (serial) or the coordinator's (parallel).
+  obs::SpanCollector* RequestSpans(int node) const;
 
-  // Copy-stream primitives shared by migration and catch-up. ScanSlots
-  // reads every live key whose shard slot is in `slots`, in user-key order;
-  // `missing_msg` is the kInternal message when the partition is absent.
-  sim::Task<Result<std::vector<std::pair<std::string, std::string>>>>
-  NodeScanSlots(int node, iosched::TenantId tenant, std::vector<int> slots,
-                iosched::IoTag tag, const char* missing_msg);
-  sim::Task<void> ScanSlotsServer(
-      int node, iosched::TenantId tenant, std::vector<int> slots,
-      iosched::IoTag tag, const char* missing_msg,
-      sim::OneShot<Result<std::vector<std::pair<std::string, std::string>>>>*
-          done);
-
-  // Applies `puts` then `deletes` sequentially on the node's partition,
-  // stopping at the first error; counts cover the successful prefix.
+  // Copy-stream bodies shared by migration and catch-up, run on the node
+  // through CallOnNode. ScanSlots reads every live key whose shard slot is
+  // in `slots`, in user-key order. ApplyOps applies `puts` then `deletes`
+  // sequentially, stopping at the first error; counts cover the successful
+  // prefix. `missing_msg` is the kInternal message when the partition is
+  // absent.
   struct ApplyResult {
     Status status;
     uint64_t puts_applied = 0;
@@ -452,33 +452,18 @@ class Cluster {
     uint64_t put_value_bytes = 0;
     uint64_t deletes_applied = 0;
   };
-  sim::Task<ApplyResult> NodeApplyOps(
-      int node, iosched::TenantId tenant,
-      std::vector<std::pair<std::string, std::string>> puts,
-      std::vector<std::string> deletes, TraceContext ctx,
-      iosched::InternalOp op, const char* missing_msg);
-  sim::Task<void> ApplyOpsServer(
-      int node, iosched::TenantId tenant,
-      std::vector<std::pair<std::string, std::string>> puts,
-      std::vector<std::string> deletes, TraceContext ctx,
-      iosched::InternalOp op, const char* missing_msg,
-      sim::OneShot<ApplyResult>* done);
-
-  // One-way control-plane seams (no reply; the node-side closure performs
-  // the membership/registration checks so no node state is read
-  // cross-thread).
-  Status NodeEnsureTenant(int node, iosched::TenantId tenant);
-  // Serial mode propagates the node's status; parallel mode is
-  // fire-and-forget (the shares were validated at admission) and returns
-  // Ok.
-  Status NodeInstallReservation(int node, iosched::TenantId tenant,
-                                iosched::Reservation share);
-  Status NodeZeroReservation(int node, iosched::TenantId tenant);
-  void NodeRecordReplTrigger(int node, iosched::TenantId tenant);
-  void NodeRecordReplDone(int node, iosched::TenantId tenant);
-  void NodeCrash(int node);
-  sim::Task<Status> NodeRestart(int node);
-  sim::Task<void> RestartServer(int node, sim::OneShot<Status>* done);
+  sim::Task<Result<ScanEntries>> ScanSlots(kv::StorageNode& node,
+                                           iosched::TenantId tenant,
+                                           std::vector<int> slots,
+                                           iosched::IoTag tag,
+                                           const char* missing_msg) const;
+  static sim::Task<ApplyResult> ApplyOps(kv::StorageNode& node,
+                                         iosched::TenantId tenant,
+                                         ScanEntries puts,
+                                         std::vector<std::string> deletes,
+                                         TraceContext ctx,
+                                         iosched::InternalOp op,
+                                         const char* missing_msg);
 
   // Re-splits every tenant's global reservation over the currently-alive
   // hosting nodes (no admission check: lost capacity must not strand

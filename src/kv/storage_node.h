@@ -147,6 +147,7 @@ class StorageNode {
 
   // --- introspection for evaluation harnesses ---
 
+  sim::EventLoop& loop() { return loop_; }
   iosched::IoScheduler& scheduler() { return scheduler_; }
   iosched::ResourcePolicy& policy() { return policy_; }
   iosched::ResourceTracker& tracker() { return scheduler_.tracker(); }

@@ -92,6 +92,7 @@ template <typename T = void>
 class [[nodiscard]] Task {
  public:
   using promise_type = internal::TaskPromise<T>;
+  using value_type = T;
   using Handle = std::coroutine_handle<promise_type>;
 
   Task() noexcept = default;

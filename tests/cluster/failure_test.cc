@@ -424,6 +424,7 @@ TEST(FaultInjectorTest, SameSeedMakesIdenticalDecisions) {
 
 TEST(FaultInjectorTest, DroppedRpcsSurfaceUnavailable) {
   ClusterOptions opt = TestOptions(2, 1);
+  opt.batch_multiget = true;  // per-key Put/Get are unaffected
   ClusterRig rig(opt);
   TenantHandle tenant =
       rig.cl.AddTenant(1, GlobalReservation{100.0, 100.0}).value();
@@ -435,12 +436,22 @@ TEST(FaultInjectorTest, DroppedRpcsSurfaceUnavailable) {
               StatusCode::kUnavailable);
     const Result<std::string> r = co_await tenant.Get(Key(0));
     EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+    // Each batched slot group is one routed call, so it is dropped too.
+    const std::vector<std::string> keys = {Key(0), Key(1), Key(2), Key(3)};
+    const std::vector<Result<std::string>> batch =
+        co_await tenant.MultiGet(keys);
+    EXPECT_EQ(batch.size(), keys.size());
+    for (const Result<std::string>& b : batch) {
+      EXPECT_EQ(b.status().code(), StatusCode::kUnavailable);
+    }
   }());
   EXPECT_GT(inj.rpcs_dropped(), 0u);
+  EXPECT_GT(rig.cl.multiget_groups(), 0u);
 }
 
 TEST(FaultInjectorTest, DelayedRpcsStillSucceed) {
   ClusterOptions opt = TestOptions(2, 1);
+  opt.batch_multiget = true;  // per-key Put/Get are unaffected
   ClusterRig rig(opt);
   TenantHandle tenant =
       rig.cl.AddTenant(1, GlobalReservation{100.0, 100.0}).value();
@@ -456,6 +467,19 @@ TEST(FaultInjectorTest, DelayedRpcsStillSucceed) {
     const Result<std::string> r = co_await tenant.Get(Key(0));
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.value(), Val(0));
+    // A batched slot group pays the injected delay once and still reads.
+    const uint64_t delayed_before = inj.rpcs_delayed();
+    const SimTime batch_start = rig.loop.Now();
+    const std::vector<std::string> keys = {Key(0)};
+    const std::vector<Result<std::string>> batch =
+        co_await tenant.MultiGet(keys);
+    EXPECT_GE(rig.loop.Now() - batch_start, fo.rpc_delay_min);
+    EXPECT_EQ(inj.rpcs_delayed(), delayed_before + 1);
+    EXPECT_EQ(batch.size(), 1u);
+    for (const Result<std::string>& b : batch) {
+      EXPECT_TRUE(b.ok());
+      EXPECT_EQ(b.value(), Val(0));
+    }
   }());
   EXPECT_GT(inj.rpcs_delayed(), 0u);
   EXPECT_EQ(inj.rpcs_dropped(), 0u);
