@@ -1,9 +1,8 @@
 // Mega-scale cluster demo: the parallel epoch engine at full width.
 //
 // --nodes storage nodes (default 64) and --tenants tenants (default 10000)
-// behind the routed Cluster API. Admission control is disabled (its
-// all-pairs feasibility check is quadratic in tenants and is exercised by
-// the smaller demos); every tenant gets a small global reservation and
+// behind the routed Cluster API, each admitted through the cluster's
+// admission check. Every tenant gets a small global reservation and
 // issues --rounds deterministic PUT+readback pairs through the client
 // seam, staggered in virtual time. The demo checks that every op succeeded
 // and every value read back exactly, then prints aggregate totals and
@@ -79,7 +78,6 @@ int RunDemo(const BenchArgs& args, const MegaFlags& mega) {
   cluster::ClusterOptions copt;
   copt.num_nodes = args.nodes;
   copt.node_options = PrototypeNodeOptions();
-  copt.admission_enabled = false;  // quadratic in tenants; off at this scale
   copt.provisioner.interval = 1 * kSecond;
   std::unique_ptr<Cluster> cl_holder = MakeCluster(rig, copt);
   Cluster& cl = *cl_holder;

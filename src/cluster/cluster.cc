@@ -271,6 +271,7 @@ void Cluster::Init(sim::MultiLoop* engine) {
   assert(options_.replication_factor >= 1);
   node_state_.assign(static_cast<size_t>(options_.num_nodes), NodeState{});
   repl_.assign(static_cast<size_t>(options_.num_nodes), ReplTelemetry{});
+  ledger_.assign(static_cast<size_t>(options_.num_nodes), NodeLedger{});
   nodes_.reserve(options_.num_nodes);
   for (int i = 0; i < options_.num_nodes; ++i) {
     sim::EventLoop& node_loop =
@@ -549,21 +550,56 @@ std::map<int, Reservation> Cluster::EvenSplit(
   return split;
 }
 
+void Cluster::NodeLedger::Set(TenantId tenant, double vops) {
+  const bool append = priced.empty() || priced.rbegin()->first < tenant;
+  const auto [it, inserted] = priced.try_emplace(tenant, vops);
+  if (inserted) {
+    if (append && !stale) {
+      sum += vops;
+    } else {
+      stale = true;
+    }
+  } else if (it->second != vops) {
+    it->second = vops;
+    stale = true;
+  }
+}
+
+void Cluster::NodeLedger::Erase(TenantId tenant) {
+  if (priced.erase(tenant) > 0) {
+    stale = true;
+  }
+}
+
+double Cluster::NodeLedger::Sum(TenantId except) const {
+  const bool skips = priced.count(except) > 0;
+  if (!skips && !stale) {
+    return sum;
+  }
+  double total = 0.0;
+  for (const auto& [tenant, vops] : priced) {
+    if (tenant != except) {
+      total += vops;
+    }
+  }
+  if (!skips) {
+    sum = total;
+    stale = false;
+  }
+  return total;
+}
+
+double Cluster::ProvisionedOn(int node, TenantId except) const {
+  return ledger_[node].Sum(except);
+}
+
 Status Cluster::CheckAdmission(
     TenantId tenant, const std::map<int, Reservation>& split) const {
   if (!options_.admission_enabled) {
     return Status::Ok();
   }
   for (const auto& [n, share] : split) {
-    double provisioned = 0.0;
-    for (const auto& [other, state] : tenants_) {
-      if (other == tenant) {
-        continue;
-      }
-      if (const auto it = state.split.find(n); it != state.split.end()) {
-        provisioned += PricedVops(it->second);
-      }
-    }
+    const double provisioned = ProvisionedOn(n, tenant);
     const double incoming = PricedVops(share);
     const double budget =
         options_.admission_utilization * nodes_[n]->capacity().provisionable();
@@ -617,6 +653,14 @@ Status Cluster::ApplySplit(TenantId tenant,
     if (!s.ok()) {
       return s;
     }
+  }
+  for (const auto& [n, old_share] : state.split) {
+    if (split.count(n) == 0) {
+      ledger_[n].Erase(tenant);
+    }
+  }
+  for (const auto& [n, share] : split) {
+    ledger_[n].Set(tenant, PricedVops(share));
   }
   state.split = split;
   return Status::Ok();

@@ -46,6 +46,7 @@
 namespace libra::cluster {
 
 class Cluster;
+class ClusterTestPeer;  // test-only read access to the admission ledger
 class GlobalProvisioner;
 
 // A tenant's system-wide reservation in normalized (1KB) requests per
@@ -125,9 +126,9 @@ struct ClusterOptions {
   double admission_utilization = 0.95;
   double admission_headroom = 1.0;
   // Disables the admission check entirely (AddTenant/UpdateGlobalReservation
-  // always admit). The check walks every admitted tenant per hosting node,
-  // which is O(tenants^2) across a mega-scale setup phase; consolidation
-  // experiments that only study steady-state scheduling turn it off.
+  // always admit); consolidation experiments that only study steady-state
+  // scheduling turn it off. The check itself reads per-node ledgers of
+  // provisioned demand, so it stays cheap at mega scale.
   bool admission_enabled = true;
   // One-way cross-node RPC latency. 0 (default) keeps the historical
   // instantaneous-RPC behavior and is required with the single-EventLoop
@@ -325,6 +326,7 @@ class Cluster {
   ClusterStats Snapshot() const;
 
  private:
+  friend class ClusterTestPeer;
   friend class GlobalProvisioner;
   friend class TenantHandle;
 
@@ -490,6 +492,11 @@ class Cluster {
   // proportional to hosted slot counts, summing exactly to `global`.
   std::map<int, iosched::Reservation> EvenSplit(
       iosched::TenantId tenant, const GlobalReservation& global) const;
+  // Provisioned VOP demand on `node`: PricedVops of every current split
+  // share placed there, except `except`'s, summed left to right in tenant-id
+  // order (kInvalidTenant excludes nobody).
+  double ProvisionedOn(int node,
+                       iosched::TenantId except = iosched::kInvalidTenant) const;
   // Admission check: can `tenant` place `split` on top of the currently
   // provisioned demand of every other tenant?
   Status CheckAdmission(iosched::TenantId tenant,
@@ -522,6 +529,25 @@ class Cluster {
   };
   std::map<iosched::TenantId, TenantState> tenants_;
   std::map<uint64_t, ShardState> shards_;
+
+  // Per-node admission ledger (indexed like nodes_), written only by
+  // ApplySplit: PricedVops of every tenant's current share on the node, by
+  // tenant id, plus the cached left-to-right sum of those values. A share
+  // landing above the largest id extends the sum with the same addition a
+  // full walk would make last; any other edit marks the sum stale and the
+  // next read re-sums the map, so the sum never drifts from the walk.
+  struct NodeLedger {
+    std::map<iosched::TenantId, double> priced;
+    mutable double sum = 0.0;
+    mutable bool stale = false;
+
+    void Set(iosched::TenantId tenant, double vops);
+    void Erase(iosched::TenantId tenant);
+    // Left-to-right sum over every entry but `except`'s (the cache when
+    // `except` has none).
+    double Sum(iosched::TenantId except) const;
+  };
+  std::vector<NodeLedger> ledger_;
 
   // Per-node liveness (indexed like nodes_).
   struct NodeState {

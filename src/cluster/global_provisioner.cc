@@ -328,12 +328,7 @@ void GlobalProvisioner::CheckOverbooking() {
           (pass == 0 && overbooked_streak_[n] > 0)) {
         continue;
       }
-      double load = 0.0;
-      for (const auto& [tenant, state] : cluster_.tenants_) {
-        if (const auto sit = state.split.find(n); sit != state.split.end()) {
-          load += cluster_.PricedVops(sit->second);
-        }
-      }
+      const double load = cluster_.ProvisionedOn(n);
       if (load < dst_load) {
         dst_load = load;
         dst = n;

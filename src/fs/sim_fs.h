@@ -53,7 +53,9 @@ class SimFs {
   bool Exists(const std::string& name) const;
   Status Delete(const std::string& name);
   Status Rename(const std::string& from, const std::string& to);
-  std::vector<std::string> List() const;
+  // Names starting with `prefix` (every name when empty), in name order.
+  // Walks only the matching range of the namespace.
+  std::vector<std::string> List(std::string_view prefix = {}) const;
 
   // --- IO (suspends on the scheduler) ---
 

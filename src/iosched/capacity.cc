@@ -36,7 +36,7 @@ sim::Task<void> ProbeWorker(sim::EventLoop& loop, IoScheduler& sched,
     const uint64_t slots = std::max<uint64_t>(1, ws / size);
     const uint64_t offset = rng.NextU64(slots) * size;
     IoTag tag{tenant, is_read ? AppRequest::kGet : AppRequest::kPut,
-              InternalOp::kNone};
+              InternalOp::kNone, {}};
     if (is_read) {
       co_await sched.Read(tag, offset, size);
     } else {

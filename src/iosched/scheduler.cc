@@ -1,7 +1,9 @@
 #include "src/iosched/scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <utility>
 
 namespace libra::iosched {
 namespace {
@@ -13,7 +15,46 @@ constexpr double kEps = 1e-9;
 // at or below this cannot buy anything, so they do not hold a round open.
 constexpr double kMinChunkCostVops = 1.0;
 
+// Calls f(index) for every set bit of `word`, lowest first; `base` is the
+// index of the word's bit 0.
+template <typename F>
+void ForEachBit(uint64_t word, size_t base, F&& f) {
+  while (word != 0) {
+    f(base + static_cast<size_t>(std::countr_zero(word)));
+    word &= word - 1;
+  }
+}
+
 }  // namespace
+
+void IoScheduler::TenantBits::Insert(size_t i) {
+  assert(i <= size_);
+  ++size_;
+  if (words_.size() * 64 < size_) {
+    words_.push_back(0);
+  }
+  const size_t wi = i / 64;
+  for (size_t k = words_.size() - 1; k > wi; --k) {
+    words_[k] = (words_[k] << 1) | (words_[k - 1] >> 63);
+  }
+  const uint64_t low = (uint64_t{1} << (i % 64)) - 1;
+  words_[wi] = (words_[wi] & low) | ((words_[wi] & ~low) << 1);
+}
+
+size_t IoScheduler::TenantBits::Next(size_t i) const {
+  size_t wi = i / 64;
+  if (wi >= words_.size()) {
+    return kNone;
+  }
+  uint64_t word = words_[wi] & (~uint64_t{0} << (i % 64));
+  while (word == 0) {
+    if (++wi == words_.size()) {
+      return kNone;
+    }
+    word = words_[wi];
+  }
+  return wi * 64 + static_cast<size_t>(std::countr_zero(word));
+}
 
 IoScheduler::IoScheduler(sim::EventLoop& loop, ssd::SsdDevice& device,
                          std::unique_ptr<CostModel> cost_model,
@@ -78,6 +119,9 @@ IoScheduler::Tenant& IoScheduler::GetTenant(TenantId id) {
   Tenant t;
   t.id = id;
   t.lifecycle = std::make_unique<TenantLifecycleStats>();
+  queued_bits_.Insert(i);
+  inflight_bits_.Insert(i);
+  went_idle_bits_.Insert(i);
   return *tenants_.insert(tenants_.begin() + static_cast<ptrdiff_t>(i),
                           std::move(t));
 }
@@ -197,6 +241,7 @@ sim::Task<void> IoScheduler::Submit(IoTag tag, ssd::IoType type,
     tenant.busy_since = loop_.Now();  // idle -> active: busy period opens
   }
   tenant.queue.push_back(op);
+  queued_bits_.Set(IndexOf(tenant));
   Pump();
   co_await done.Wait();
 }
@@ -233,32 +278,44 @@ size_t IoScheduler::backlog() const {
 }
 
 bool IoScheduler::NewRound() {
+  // Active = queued or in flight; weights sum in id order.
+  const std::vector<uint64_t>& queued = queued_bits_.words();
+  const std::vector<uint64_t>& inflight = inflight_bits_.words();
   double weight_sum = 0.0;
   int active = 0;
-  for (const Tenant& t : tenants_) {
-    if (t.active()) {
-      weight_sum += t.allocation;
+  for (size_t w = 0; w < queued.size(); ++w) {
+    ForEachBit(queued[w] | inflight[w], w * 64, [&](size_t i) {
+      weight_sum += tenants_[i].allocation;
       ++active;
-    }
+    });
   }
   if (active == 0) {
     return false;
   }
   ++rounds_;
-  for (Tenant& t : tenants_) {
-    if (!t.active()) {
-      // Classic DRR: an idle tenant does not hoard budget (this is what
-      // makes the scheduler work-conserving). Debt is kept.
-      t.deficit = std::min(t.deficit, 0.0);
-      continue;
-    }
-    // Weight-proportional quantum. With all-zero weights (only best-effort
-    // tenants active) fall back to equal shares so the device never idles.
-    const double share = weight_sum > 0.0
-                             ? t.allocation / weight_sum
-                             : 1.0 / static_cast<double>(active);
-    const double quantum = share * options_.round_quantum_vops;
-    t.deficit = std::min(t.deficit + quantum, quantum + max_carry_vops_);
+  std::vector<uint64_t>& went_idle = went_idle_bits_.words();
+  for (size_t w = 0; w < went_idle.size(); ++w) {
+    ForEachBit(std::exchange(went_idle[w], 0), w * 64, [&](size_t i) {
+      Tenant& t = tenants_[i];
+      if (!t.active()) {
+        // Classic DRR: an idle tenant does not hoard budget (this is what
+        // makes the scheduler work-conserving). Debt is kept.
+        t.deficit = std::min(t.deficit, 0.0);
+      }
+    });
+  }
+  for (size_t w = 0; w < queued.size(); ++w) {
+    ForEachBit(queued[w] | inflight[w], w * 64, [&](size_t i) {
+      // Weight-proportional quantum. With all-zero weights (only
+      // best-effort tenants active) fall back to equal shares so the
+      // device never idles.
+      Tenant& t = tenants_[i];
+      const double share = weight_sum > 0.0
+                               ? t.allocation / weight_sum
+                               : 1.0 / static_cast<double>(active);
+      const double quantum = share * options_.round_quantum_vops;
+      t.deficit = std::min(t.deficit + quantum, quantum + max_carry_vops_);
+    });
   }
   return true;
 }
@@ -296,8 +353,13 @@ void IoScheduler::DispatchChunk(Tenant& tenant) {
   ++op->chunks_total;
   ++tenant.chunks_inflight;
   ++inflight_;
+  const size_t idx = IndexOf(tenant);
+  inflight_bits_.Set(idx);
   if (op->fully_dispatched()) {
     tenant.queue.pop_front();  // op stays alive in the pool until completion
+    if (tenant.queue.empty()) {
+      queued_bits_.Clear(idx);
+    }
   }
 
   const uint32_t ctx_idx = AllocChunkCtx();
@@ -380,7 +442,12 @@ void IoScheduler::OnChunkComplete(uint32_t index) {
 
   --op->chunks_inflight;
   Tenant& t = *FindTenant(tenant_id);  // tenants are never removed
-  --t.chunks_inflight;
+  if (--t.chunks_inflight == 0) {
+    inflight_bits_.Clear(IndexOf(t));
+    if (t.queue.empty()) {
+      went_idle_bits_.Set(IndexOf(t));
+    }
+  }
   if (op->fully_dispatched() && op->chunks_inflight == 0) {
     const SimTime now = loop_.Now();
     const uint64_t queue_wait =
@@ -464,28 +531,28 @@ void IoScheduler::Pump() {
   // chunk exceeds the deficit cap cannot spin the round counter.
   int refills_left = 8;
   while (inflight_ < options_.queue_depth) {
-    // Scan the ring from the cursor for an eligible (work + budget) tenant:
-    // a single contiguous rotation over the id-sorted tenant vector.
-    Tenant* chosen = nullptr;
+    // Scan the queued tenants ring-wise from the cursor for an eligible
+    // (work + budget) one: [start, end) of the id-sorted vector, then
+    // [0, start).
     bool any_queued = false;
-    const size_t n = tenants_.size();
+    const auto scan = [&](size_t lo, size_t hi) -> Tenant* {
+      for (size_t i = queued_bits_.Next(lo); i < hi;
+           i = queued_bits_.Next(i + 1)) {
+        any_queued = true;
+        Tenant& t = tenants_[i];
+        const Op& head = *t.queue.front();
+        const double cost =
+            cost_model_->Cost(head.type, NextChunkBytes(head));
+        if (t.deficit + kEps >= cost) {
+          return &t;
+        }
+      }
+      return nullptr;
+    };
     const size_t start = LowerBound(ring_cursor_);
-    for (size_t k = 0; k < n; ++k) {
-      size_t i = start + k;
-      if (i >= n) {
-        i -= n;
-      }
-      Tenant& t = tenants_[i];
-      if (t.queue.empty()) {
-        continue;
-      }
-      any_queued = true;
-      const Op& head = *t.queue.front();
-      const double cost = cost_model_->Cost(head.type, NextChunkBytes(head));
-      if (t.deficit + kEps >= cost) {
-        chosen = &t;
-        break;
-      }
+    Tenant* chosen = scan(start, tenants_.size());
+    if (chosen == nullptr) {
+      chosen = scan(0, start);
     }
 
     if (chosen != nullptr) {
@@ -504,9 +571,10 @@ void IoScheduler::Pump() {
     // in-flight work: its closed-loop workers will resubmit on completion,
     // and refilling now would let cheap-op tenants outrun their shares.
     bool holds_round_open = false;
-    for (const Tenant& t : tenants_) {
-      if (t.chunks_inflight > 0 && t.queue.empty() &&
-          t.deficit > kMinChunkCostVops) {
+    for (size_t i = inflight_bits_.Next(0); i != TenantBits::kNone;
+         i = inflight_bits_.Next(i + 1)) {
+      const Tenant& t = tenants_[i];
+      if (t.queue.empty() && t.deficit > kMinChunkCostVops) {
         holds_round_open = true;
         break;
       }
@@ -516,15 +584,10 @@ void IoScheduler::Pump() {
     }
 
     if (refills_left-- <= 0 || !NewRound()) {
-      // Refills exhausted or impossible: force the ring-next queued tenant
+      // Refills exhausted or impossible: force the lowest-id queued tenant
       // into debt so the scheduler always makes progress (the debt is
       // repaid out of future quanta, preserving long-run proportions).
-      for (Tenant& t : tenants_) {
-        if (!t.queue.empty()) {
-          DispatchChunk(t);
-          break;
-        }
-      }
+      DispatchChunk(tenants_[queued_bits_.Next(0)]);
     }
   }
   pumping_ = false;

@@ -50,6 +50,8 @@
 
 namespace libra::iosched {
 
+class IoSchedulerPeer;  // test-only access to DRR state
+
 struct SchedulerOptions {
   int queue_depth = ssd::kSsdQueueDepth;  // concurrent IOPs at the device
   uint32_t chunk_bytes = 128 * 1024;      // split threshold (0x20000)
@@ -177,6 +179,8 @@ class IoScheduler {
   SimDuration ConsumeDemandTime(TenantId tenant);
 
  private:
+  friend class IoSchedulerPeer;
+
   // Ops live in a scheduler-owned pool (op_arena_ + op_free_) and are
   // recycled when the last chunk completes — no per-IO allocation after the
   // pool warms up. Raw Op* are safe: the pool outlives every queue entry
@@ -221,15 +225,37 @@ class IoScheduler {
     bool active() const { return !queue.empty() || chunks_inflight > 0; }
   };
 
-  // Tenants sit in a dense vector kept sorted by id, so Pump()/NewRound()
-  // iterate contiguously; the sort order makes the DRR ring scan identical
-  // to the previous std::map iteration (deterministic round-robin order).
-  // Registration (rare) inserts in the middle; the hot paths only scan.
+  // Tenants sit in a dense vector kept sorted by id; the sort order fixes
+  // the deterministic round-robin order of the DRR ring. The ring's loops
+  // do not walk that vector: they walk bitmaps over its indices (below),
+  // so Pump()/NewRound() cost O(tenants with work), not O(tenants hosted).
+  // Registration (rare) inserts in the middle and shifts every bitmap.
   Tenant* FindTenant(TenantId id);
   const Tenant* FindTenant(TenantId id) const;
 
   // Find-or-create with lifecycle stats attached.
   Tenant& GetTenant(TenantId id);
+  size_t IndexOf(const Tenant& t) const {
+    return static_cast<size_t>(&t - tenants_.data());
+  }
+
+  // One bit per tenants_ index. Bits at or past size() are always clear.
+  class TenantBits {
+   public:
+    static constexpr size_t kNone = static_cast<size_t>(-1);
+    // Opens a clear bit at `i`; bits at or above `i` move up by one.
+    void Insert(size_t i);
+    void Set(size_t i) { words_[i / 64] |= uint64_t{1} << (i % 64); }
+    void Clear(size_t i) { words_[i / 64] &= ~(uint64_t{1} << (i % 64)); }
+    // First set bit at index >= i, or kNone.
+    size_t Next(size_t i) const;
+    std::vector<uint64_t>& words() { return words_; }
+    const std::vector<uint64_t>& words() const { return words_; }
+
+   private:
+    std::vector<uint64_t> words_;
+    size_t size_ = 0;
+  };
 
   // Index of the first tenant with id >= `id` (== tenants_.size() if none).
   size_t LowerBound(TenantId id) const;
@@ -298,6 +324,12 @@ class IoScheduler {
 
   std::vector<Tenant> tenants_;  // sorted by Tenant::id
   TenantId ring_cursor_ = 0;     // tenant id to consider next
+  // The DRR ring's indexes over tenants_: non-empty queue; chunks in
+  // flight; went idle since the last round (the only tenants a round may
+  // need to clamp — every other idle tenant's deficit is already <= 0).
+  TenantBits queued_bits_;
+  TenantBits inflight_bits_;
+  TenantBits went_idle_bits_;
 
   std::deque<Op> op_arena_;  // stable addresses; Op* handles circulate
   std::vector<Op*> op_free_;

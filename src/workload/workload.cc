@@ -57,7 +57,7 @@ sim::Task<void> RawIoWorkload::Worker(SimTime end_time) {
     const uint64_t offset = rng_.NextU64(slots) * aligned;
     const iosched::IoTag tag{
         tenant_, is_read ? iosched::AppRequest::kGet : iosched::AppRequest::kPut,
-        iosched::InternalOp::kNone};
+        iosched::InternalOp::kNone, {}};
     if (is_read) {
       co_await scheduler_.Read(tag, offset, static_cast<uint32_t>(aligned));
     } else {

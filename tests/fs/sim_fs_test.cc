@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/iosched/cost_model.h"
 #include "src/sim/event_loop.h"
@@ -28,7 +30,8 @@ struct FsRig {
   iosched::IoScheduler sched{
       loop, device, std::make_unique<iosched::ExactCostModel>(FakeTable())};
   SimFs fs{sched, device};
-  iosched::IoTag tag{1, iosched::AppRequest::kPut, iosched::InternalOp::kNone};
+  iosched::IoTag tag{1, iosched::AppRequest::kPut, iosched::InternalOp::kNone,
+                     {}};
 
   FsRig() { sched.SetAllocation(1, 10000.0); }
 
@@ -158,6 +161,33 @@ TEST(SimFsTest, ListEnumeratesFiles) {
   ASSERT_TRUE(rig.fs.Create("y").ok());
   const auto names = rig.fs.List();
   EXPECT_EQ(names.size(), 2u);
+}
+
+TEST(SimFsTest, ListPrefixStopsAtTheNameBoundary) {
+  FsRig rig;
+  for (const char* name :
+       {"tenant_1/wal_7", "tenant_10/sst_3", "tenant_1x", "tenant_1/sst_2",
+        "tenant_0/wal_1", "tenant_10/wal_4", "tenant_2/sst_5", "tenant_1"}) {
+    ASSERT_TRUE(rig.fs.Create(name).ok()) << name;
+  }
+  // Only the partition's own directory, in name (map) order.
+  EXPECT_EQ(rig.fs.List("tenant_1/"),
+            (std::vector<std::string>{"tenant_1/sst_2", "tenant_1/wal_7"}));
+  EXPECT_EQ(rig.fs.List("tenant_10/"),
+            (std::vector<std::string>{"tenant_10/sst_3", "tenant_10/wal_4"}));
+  // A bare prefix is a plain string prefix.
+  EXPECT_EQ(rig.fs.List("tenant_1"),
+            (std::vector<std::string>{"tenant_1", "tenant_1/sst_2",
+                                      "tenant_1/wal_7", "tenant_10/sst_3",
+                                      "tenant_10/wal_4", "tenant_1x"}));
+  EXPECT_TRUE(rig.fs.List("tenant_3/").empty());
+  EXPECT_TRUE(rig.fs.List("zzz").empty());
+  // No prefix: everything, in name order.
+  EXPECT_EQ(rig.fs.List(),
+            (std::vector<std::string>{
+                "tenant_0/wal_1", "tenant_1", "tenant_1/sst_2",
+                "tenant_1/wal_7", "tenant_10/sst_3", "tenant_10/wal_4",
+                "tenant_1x", "tenant_2/sst_5"}));
 }
 
 TEST(SimFsTest, PeekContentsBypassesIo) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -15,6 +17,17 @@
 #include "src/ssd/profile.h"
 
 namespace libra::iosched {
+
+// Test access to the scheduler's private DRR state.
+class IoSchedulerPeer {
+ public:
+  static double Deficit(const IoScheduler& s, TenantId tenant) {
+    return s.FindTenant(tenant)->deficit;
+  }
+  static double MaxCarry(const IoScheduler& s) { return s.max_carry_vops_; }
+  static bool NewRound(IoScheduler& s) { return s.NewRound(); }
+};
+
 namespace {
 
 // One shared calibration for the whole file (the expensive step).
@@ -634,6 +647,162 @@ TEST(SchedulerTest, SharedWriteLandsCostOnManifestTags) {
   const TenantLifecycleStats* follower = rig.sched.lifecycle(4);
   ASSERT_NE(follower, nullptr);
   EXPECT_EQ(follower->Aggregate().ops, 0u);
+}
+
+// --- DRR ring bookkeeping ---
+
+// Sleeps until `at`, optionally registers `tenant` with `allocation`
+// (negative: let the first Submit auto-register it), then joins the
+// backlog with `workers` closed-loop workers.
+sim::Task<void> LateJoiner(Rig* rig, sim::TaskGroup* group, SimTime at,
+                           TenantId tenant, double allocation, int workers,
+                           ssd::IoType type, uint32_t size, SimTime end) {
+  co_await sim::SleepFor(rig->loop, at - rig->loop.Now());
+  if (allocation >= 0.0) {
+    rig->sched.SetAllocation(tenant, allocation);
+  }
+  for (int w = 0; w < workers; ++w) {
+    group->Spawn(rig->Worker(tenant, type, size, end));
+  }
+}
+
+// One 4KB read at a time with `gap` of think time between them: the
+// tenant keeps going idle and coming back, often before the next round.
+sim::Task<void> Bursty(Rig* rig, TenantId tenant, SimDuration gap,
+                       SimTime end) {
+  uint64_t offset = 0;
+  while (rig->loop.Now() < end) {
+    co_await rig->sched.Read({tenant, AppRequest::kGet, InternalOp::kNone, {}},
+                             offset, 4096);
+    offset += 4096;
+    co_await sim::SleepFor(rig->loop, gap);
+  }
+}
+
+TEST(SchedulerRingTest, LowerIdRegistrationKeepsDispatchOrder) {
+  // Tenants 2, 4 and 6 are backlogged (queued and in flight) and tenant 5
+  // keeps going idle and returning, when tenants 1, 0 and 3 register below
+  // or between them, each registration shifting the id-sorted ring. The
+  // first-dispatch tenant sequence is pinned to the order the scheduler
+  // produced before its ring kept per-tenant bitmaps.
+  SchedulerOptions opt;
+  opt.queue_depth = 4;
+  opt.round_quantum_vops = 16.0;  // short rounds: the ring turns often
+  opt.trace_capacity = 1 << 14;
+  Rig rig(opt);
+  const SimTime end = 12 * kMillisecond;
+  {
+    sim::TaskGroup group(rig.loop);
+    rig.sched.SetAllocation(2, 2000.0);
+    rig.sched.SetAllocation(4, 1000.0);
+    rig.sched.SetAllocation(6, 500.0);
+    for (int w = 0; w < 4; ++w) {
+      group.Spawn(rig.Worker(2, ssd::IoType::kRead, 4 * 1024, end));
+      group.Spawn(rig.Worker(4, ssd::IoType::kWrite, 16 * 1024, end));
+    }
+    group.Spawn(rig.Worker(6, ssd::IoType::kRead, 64 * 1024, end));
+    group.Spawn(rig.Worker(6, ssd::IoType::kRead, 64 * 1024, end));
+    rig.sched.SetAllocation(5, 1500.0);
+    group.Spawn(Bursty(&rig, 5, 20 * kMicrosecond, end));
+    group.Spawn(LateJoiner(&rig, &group, 3 * kMillisecond, 1, 3000.0, 3,
+                           ssd::IoType::kRead, 8 * 1024, end));
+    group.Spawn(LateJoiner(&rig, &group, 5 * kMillisecond, 0, 800.0, 0,
+                           ssd::IoType::kRead, 4 * 1024, end));
+    group.Spawn(LateJoiner(&rig, &group, 7 * kMillisecond, 3, -1.0, 2,
+                           ssd::IoType::kRead, 4 * 1024, end));
+    rig.loop.Run();
+  }
+  std::string order;
+  for (const obs::TraceEvent& ev : rig.sched.trace()->Events()) {
+    if (ev.type == obs::TraceEventType::kDispatch) {
+      order += static_cast<char>('0' + ev.tenant);
+    }
+  }
+  EXPECT_EQ(order,
+            "2222222222222222222522222222445222225111112222451111222251112222"
+            "41111111222256112222411111111222511122224145644633");
+}
+
+TEST(SchedulerRingTest, IdleTenantDeficitClampedAtNextRound) {
+  // Tenant 1 reads once, goes idle holding most of its half of a round's
+  // quantum, and comes back: before a new round its budget is intact; once
+  // a round opens while it is idle, classic DRR drops the positive deficit
+  // to exactly zero.
+  Rig rig;
+  const SimTime end = 60 * kMillisecond;
+  const IoTag tag{1, AppRequest::kGet, InternalOp::kNone, {}};
+  double idle_deficit = -1.0;
+  double returned_deficit = -1.0;
+  double clamped_deficit = -1.0;
+  uint64_t rounds_at_idle = 0;
+  bool returned_within_round = false;
+  auto light = [&]() -> sim::Task<void> {
+    co_await sim::SleepFor(rig.loop, 1 * kMillisecond);
+    co_await rig.sched.Read(tag, 0, 4096);
+    idle_deficit = IoSchedulerPeer::Deficit(rig.sched, 1);
+    rounds_at_idle = rig.sched.rounds();
+    co_await sim::SleepFor(rig.loop, 10 * kMicrosecond);
+    returned_within_round = rig.sched.rounds() == rounds_at_idle;
+    returned_deficit = IoSchedulerPeer::Deficit(rig.sched, 1);
+    co_await rig.sched.Read(tag, 4096, 4096);
+    while (rig.sched.rounds() == rounds_at_idle) {
+      co_await sim::SleepFor(rig.loop, 100 * kMicrosecond);
+    }
+    clamped_deficit = IoSchedulerPeer::Deficit(rig.sched, 1);
+    co_await rig.sched.Read(tag, 8192, 4096);
+  };
+  {
+    sim::TaskGroup group(rig.loop);
+    rig.sched.SetAllocation(1, 1000.0);
+    rig.sched.SetAllocation(2, 1000.0);
+    for (int w = 0; w < 8; ++w) {
+      group.Spawn(rig.Worker(2, ssd::IoType::kRead, 4 * 1024, end));
+    }
+    group.Spawn(light());
+    rig.loop.Run();
+  }
+  EXPECT_GT(idle_deficit, 0.0);
+  ASSERT_TRUE(returned_within_round);
+  EXPECT_EQ(returned_deficit, idle_deficit);
+  EXPECT_EQ(clamped_deficit, 0.0);
+  EXPECT_EQ(rig.sched.tracker().Stats(1).total_ops(), 3u);
+}
+
+sim::Task<void> ReadOnce(IoScheduler* sched, TenantId tenant,
+                         uint64_t offset) {
+  co_await sched->Read({tenant, AppRequest::kGet, InternalOp::kNone, {}},
+                       offset, 4096);
+}
+
+TEST(SchedulerRingTest, RoundKeepsBudgetOfTenantBackFromIdle) {
+  // Tenant 1 reads once alone, goes idle holding most of the quantum (the
+  // went-idle mark is set), and comes back with more reads than the
+  // device queue holds before any round opens. It is active when the next
+  // round opens, so that round must add to its remaining budget (capped)
+  // rather than clamp it. Registered-but-idle tenant 3 carries no weight.
+  Rig rig;
+  rig.sched.SetAllocation(1, 1000.0);
+  rig.sched.SetAllocation(3, 1000.0);
+  sim::Detach(ReadOnce(&rig.sched, 1, 0));
+  rig.loop.Run();
+  const uint64_t rounds = rig.sched.rounds();
+  const int depth = SchedulerOptions{}.queue_depth;
+  for (int i = 0; i < 2 * depth; ++i) {
+    sim::Detach(ReadOnce(&rig.sched, 1, uint64_t{4096} * i));
+  }
+  ASSERT_EQ(rig.sched.rounds(), rounds);   // came back within the round
+  ASSERT_EQ(rig.sched.inflight(), depth);  // the rest wait in the queue
+  const double before = IoSchedulerPeer::Deficit(rig.sched, 1);
+  ASSERT_GT(before, 0.0);
+  ASSERT_TRUE(IoSchedulerPeer::NewRound(rig.sched));
+  const double quantum = SchedulerOptions{}.round_quantum_vops;
+  EXPECT_EQ(IoSchedulerPeer::Deficit(rig.sched, 1),
+            std::min(before + quantum,
+                     quantum + IoSchedulerPeer::MaxCarry(rig.sched)));
+  EXPECT_EQ(IoSchedulerPeer::Deficit(rig.sched, 3), 0.0);
+  rig.loop.Run();
+  EXPECT_EQ(rig.sched.tracker().Stats(1).total_ops(),
+            static_cast<uint64_t>(2 * depth + 1));
 }
 
 }  // namespace

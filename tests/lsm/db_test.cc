@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "tests/lsm/lsm_rig.h"
@@ -223,6 +224,56 @@ TEST(LsmDbTest, WalRecoveryRestoresMemtable) {
     auto r = co_await db2.Get("durable");
     EXPECT_TRUE(r.status.ok());
     EXPECT_EQ(r.value, "yes");
+  }());
+}
+
+TEST(LsmDbTest, ReopenTouchesOnlyItsOwnPartition) {
+  // "tenant_1" is a string prefix of "tenant_10": recovery must list the
+  // partition's directory, not every name that starts with its prefix.
+  LsmRig rig;
+  rig.sched.SetAllocation(10, 50000.0);
+  LsmDb ten(rig.loop, rig.fs, rig.sched, 10, "tenant_10", SmallOptions());
+  ASSERT_TRUE(ten.Open().ok());
+  {
+    LsmDb one(rig.loop, rig.fs, rig.sched, 1, "tenant_1", SmallOptions());
+    ASSERT_TRUE(one.Open().ok());
+    rig.RunTask([&]() -> sim::Task<void> {
+      // tenant_10 flushes tables and keeps a WAL tail; tenant_1 only logs.
+      for (int i = 0; i < 200; ++i) {
+        co_await ten.Put(Key(i), std::string(1024, 't'));
+      }
+      co_await ten.WaitIdle();
+      co_await one.Put("mine", "1");
+      co_await ten.Put("theirs", "10");
+    }());
+  }  // "crash" tenant_1
+  const std::vector<std::string> theirs = rig.fs.List("tenant_10/");
+  bool has_table = false;
+  bool has_wal = false;
+  for (const std::string& name : theirs) {
+    has_table |= name.starts_with("tenant_10/sst_");
+    has_wal |= name.starts_with("tenant_10/wal_");
+  }
+  ASSERT_TRUE(has_table);
+  ASSERT_TRUE(has_wal);
+
+  LsmDb one(rig.loop, rig.fs, rig.sched, 1, "tenant_1", SmallOptions());
+  ASSERT_TRUE(one.Open().ok());
+  // tenant_10's tables and WALs are untouched, and none of its WAL
+  // records were replayed into tenant_1.
+  EXPECT_EQ(rig.fs.List("tenant_10/"), theirs);
+  EXPECT_EQ(one.stats().recovered_wal_files, 1u);
+  EXPECT_EQ(one.stats().recovered_records, 1u);
+  rig.RunTask([&]() -> sim::Task<void> {
+    const auto mine = co_await one.Get("mine");
+    EXPECT_EQ(mine.value, "1");
+    const auto theirs_key = co_await one.Get("theirs");
+    EXPECT_EQ(theirs_key.status.code(), StatusCode::kNotFound);
+    // tenant_10 still reads its flushed tables and its WAL-backed tail.
+    const auto table_key = co_await ten.Get(Key(0));
+    EXPECT_EQ(table_key.value, std::string(1024, 't'));
+    const auto tail_key = co_await ten.Get("theirs");
+    EXPECT_EQ(tail_key.value, "10");
   }());
 }
 

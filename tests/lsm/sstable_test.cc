@@ -12,9 +12,9 @@ namespace {
 using testing::LsmRig;
 
 const iosched::IoTag kFlushTag{1, iosched::AppRequest::kPut,
-                               iosched::InternalOp::kFlush};
+                               iosched::InternalOp::kFlush, {}};
 const iosched::IoTag kGetTag{1, iosched::AppRequest::kGet,
-                             iosched::InternalOp::kNone};
+                             iosched::InternalOp::kNone, {}};
 
 // Builds a table with `n` keys "key00000i" -> "value_i" at seq i+1.
 fs::FileId BuildTestTable(LsmRig& rig, int n, uint32_t value_size = 100) {

@@ -20,7 +20,7 @@ namespace {
 using testing::LsmRig;
 
 const iosched::IoTag kPutTag{1, iosched::AppRequest::kPut,
-                             iosched::InternalOp::kNone};
+                             iosched::InternalOp::kNone, {}};
 
 // splitmix64: one seeded stream drives every damage decision, so a failing
 // case number reproduces exactly.

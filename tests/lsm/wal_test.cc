@@ -12,7 +12,7 @@ namespace {
 using testing::LsmRig;
 
 const iosched::IoTag kPutTag{1, iosched::AppRequest::kPut,
-                             iosched::InternalOp::kNone};
+                             iosched::InternalOp::kNone, {}};
 
 TEST(WalTest, AppendAndReplay) {
   LsmRig rig;
