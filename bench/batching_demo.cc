@@ -10,8 +10,8 @@
 //   2. Read coalescing — a hot-key MultiGet workload on a small cluster.
 //      Batching groups each MultiGet's same-slot keys through one routing
 //      gate and collapses duplicate in-flight GETs into one LSM lookup
-//      (singleflight); a bounded table cache replaces the grow-forever
-//      resident index blocks.
+//      (singleflight). Both modes report the LSM's index-block cache
+//      traffic.
 // Both experiments are single-loop simulations, so output is identical for
 // any --jobs value.
 
@@ -152,7 +152,7 @@ struct GetRunResult {
   uint64_t coalesced = 0;       // GETs that rode another's lookup
   uint64_t events = 0;
   double events_per_key = 0.0;
-  uint64_t cache_hits = 0;      // bounded table cache (batched mode)
+  uint64_t cache_hits = 0;      // LSM index-block cache
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
 };
@@ -161,7 +161,7 @@ std::string HotKey(uint64_t i) { return "hot:" + std::to_string(i); }
 
 // 8KB objects so the population overflows the 4MB write buffers and the
 // hot keys are served from SSTables — memtable hits would need no IO and
-// leave nothing for singleflight or the table cache to do.
+// leave nothing for singleflight or the index cache to do.
 sim::Task<void> PreloadHotKeys(cluster::TenantHandle h, int n,
                                uint64_t* errors) {
   for (int i = 0; i < n; ++i) {
@@ -206,7 +206,6 @@ GetRunResult RunHotReads(const BenchArgs& args, bool batching) {
   if (batching) {
     copt.batch_multiget = true;
     copt.node_options.enable_read_coalescing = true;
-    copt.node_options.lsm_options.table_cache_bytes = 64 * kKiB;
   }
   cluster::Cluster cl(loop, copt);
   const Result<cluster::TenantHandle> admitted =
@@ -247,9 +246,9 @@ GetRunResult RunHotReads(const BenchArgs& args, bool batching) {
     r.coalesced += cl.node(n).coalesced_gets();
     for (TenantId t : cl.node(n).tenants()) {
       const lsm::LsmStats s = cl.node(n).partition(t)->stats();
-      r.cache_hits += s.table_cache_hits;
-      r.cache_misses += s.table_cache_misses;
-      r.cache_evictions += s.table_cache_evictions;
+      r.cache_hits += s.bcache_index_hits;
+      r.cache_misses += s.bcache_index_misses;
+      r.cache_evictions += s.bcache_evictions;
     }
   }
   r.events_per_key = r.keys_issued > 0

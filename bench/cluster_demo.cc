@@ -86,13 +86,12 @@ int RunDemo(const BenchArgs& args) {
   copt.node_options = PrototypeNodeOptions();
   copt.provisioner.interval = 1 * kSecond;
   // Request-path batching on: WAL group commit (with fair VOP cost
-  // splitting), singleflight GETs, slot-grouped MultiGet, and a bounded
-  // table cache. The figure binaries keep the paper-faithful defaults;
-  // the demo runs the batched configuration end to end.
+  // splitting), singleflight GETs and slot-grouped MultiGet. The figure
+  // binaries keep the paper-faithful defaults; the demo runs the batched
+  // configuration end to end.
   copt.batch_multiget = true;
   copt.node_options.enable_read_coalescing = true;
   copt.node_options.lsm_options.wal_group_commit = true;
-  copt.node_options.lsm_options.table_cache_bytes = 256 * kKiB;
   std::unique_ptr<Cluster> cl_holder = MakeCluster(rig, copt);
   Cluster& cl = *cl_holder;
 
@@ -187,13 +186,14 @@ int RunDemo(const BenchArgs& args) {
   for (size_t i = 0; i < kN; ++i) {
     const double get_rate = (gets1[i] - gets0[i]) / secs;
     const double put_rate = (puts1[i] - puts0[i]) / secs;
-    const bool met = get_rate >= kTenants[i].global.get_rps &&
-                     put_rate >= kTenants[i].global.put_rps;
+    const GlobalReservation& global = kTenants[i].global;
+    const bool met = get_rate >= global.RateOf(AppRequest::kGet) &&
+                     put_rate >= global.RateOf(AppRequest::kPut);
     all_met = all_met && met;
     table.AddRow({std::to_string(kTenants[i].tenant),
-                  metrics::FormatDouble(kTenants[i].global.get_rps, 0),
+                  metrics::FormatDouble(global.RateOf(AppRequest::kGet), 0),
                   metrics::FormatDouble(get_rate, 0),
-                  metrics::FormatDouble(kTenants[i].global.put_rps, 0),
+                  metrics::FormatDouble(global.RateOf(AppRequest::kPut), 0),
                   metrics::FormatDouble(put_rate, 0), met ? "yes" : "NO"});
   }
   Emit(args, table);

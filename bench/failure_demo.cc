@@ -240,10 +240,11 @@ int RunDemo(const BenchArgs& args, uint64_t seed) {
                         "PUT_ach/s", "put_err", "unavail", "deadline"});
   const double secs = ToSeconds(t_end - t_warm);
   for (size_t i = 0; i < kN; ++i) {
+    const GlobalReservation& global = kTenants[i].global;
     table.AddRow({std::to_string(kTenants[i].tenant),
-                  metrics::FormatDouble(kTenants[i].global.get_rps, 0),
+                  metrics::FormatDouble(global.RateOf(AppRequest::kGet), 0),
                   metrics::FormatDouble((gets1[i] - gets0[i]) / secs, 0),
-                  metrics::FormatDouble(kTenants[i].global.put_rps, 0),
+                  metrics::FormatDouble(global.RateOf(AppRequest::kPut), 0),
                   metrics::FormatDouble((puts1[i] - puts0[i]) / secs, 0),
                   std::to_string(workloads[i]->put_errors()),
                   std::to_string(workloads[i]->unavailable_errors()),

@@ -88,8 +88,9 @@ void BM_SchedulerRoundTrip(benchmark::State& state) {
     const iosched::TenantId t = static_cast<iosched::TenantId>(i++ % tenants);
     sim::Detach([](iosched::IoScheduler& s, iosched::TenantId id,
                    uint64_t off) -> sim::Task<void> {
-      co_await s.Read({id, iosched::AppRequest::kGet, iosched::InternalOp::kNone},
-                      off, 4096);
+      co_await s.Read(
+          {id, iosched::AppRequest::kGet, iosched::InternalOp::kNone, {}}, off,
+          4096);
     }(sched, t, rng.NextU64(50000) * 4096));
     loop.Run();
   }
@@ -166,7 +167,9 @@ void BM_BlockCacheGet(benchmark::State& state) {
   constexpr int kTables = 16;
   constexpr int kBlocks = 8;
   constexpr uint64_t kBlockBytes = 4096;
-  lsm::BlockCache cache(/*capacity_bytes=*/0, /*cache_data=*/true);
+  // Budget = the working set exactly: data blocks are cached, none evicted.
+  lsm::BlockCache cache(/*capacity_bytes=*/kTenants * kTables * kBlocks *
+                        kBlockBytes);
   for (int t = 1; t <= kTenants; ++t) {
     for (int f = 0; f < kTables; ++f) {
       for (int b = 0; b < kBlocks; ++b) {
@@ -235,7 +238,7 @@ void BM_WalGroupCommit(benchmark::State& state) {
   wopt.group_commit = true;
   const int qd = static_cast<int>(state.range(0));
   const iosched::IoTag tag{1, iosched::AppRequest::kPut,
-                           iosched::InternalOp::kNone};
+                           iosched::InternalOp::kNone, {}};
   std::unique_ptr<lsm::WriteAheadLog> wal;
   uint64_t wal_number = 0;
   uint64_t records = 0;

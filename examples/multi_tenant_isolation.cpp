@@ -32,15 +32,15 @@ int main() {
   // Reservations in normalized 1KB requests/s, 3:2:1.
   struct TenantCfg {
     iosched::TenantId id;
-    double get_rps;
-    double put_rps;
+    iosched::Reservation reservation;  // GET/s, PUT/s
   };
-  const TenantCfg tenants[] = {
-      {1, 6000.0, 1500.0}, {2, 4000.0, 1000.0}, {3, 2000.0, 500.0}};
+  const TenantCfg tenants[] = {{1, {6000.0, 1500.0}},
+                               {2, {4000.0, 1000.0}},
+                               {3, {2000.0, 500.0}}};
 
   std::vector<std::unique_ptr<workload::KvTenantWorkload>> workloads;
   for (const TenantCfg& t : tenants) {
-    (void)node.AddTenant(t.id, {t.get_rps, t.put_rps});
+    (void)node.AddTenant(t.id, t.reservation);
     workload::KvWorkloadSpec spec;
     spec.get_fraction = 0.8;
     spec.get_size = {4096.0, 0.0};

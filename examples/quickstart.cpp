@@ -41,12 +41,11 @@ int main() {
   options.node_options.calibration = table;
   // Request-path batching (off by default, paper-faithful): WAL group
   // commit merges concurrent PUT syncs into one fairly-split device write,
-  // duplicate in-flight GETs share one lookup, MultiGet groups same-shard
-  // keys, and index blocks live in a bounded LRU table cache.
+  // duplicate in-flight GETs share one lookup, and MultiGet groups
+  // same-shard keys.
   options.batch_multiget = true;
   options.node_options.enable_read_coalescing = true;
   options.node_options.lsm_options.wal_group_commit = true;
-  options.node_options.lsm_options.table_cache_bytes = 256 * kKiB;
   cluster::Cluster cl(loop, options);
 
   // 3. Admit a tenant with a *global* reservation: 2000 normalized (1KB)

@@ -33,19 +33,11 @@ namespace libra::iosched {
 // Local per-tenant reservation in normalized (1KB) requests per second,
 // one rate per application request class. The storage is a per-class array
 // indexed by AppRequest — pricing, admission, and demand-splitting loop
-// over it, so new classes need no bespoke plumbing — while the anonymous
-// struct member aliases keep the historical `r.get_rps` / `r.put_rps`
-// spelling (read and write) working at every existing call site.
+// over it, so new classes need no bespoke plumbing. Read and write one
+// class through RateOf; the AppRequest::kNone slot is always 0 and never
+// priced.
 struct Reservation {
-  union {
-    double rps[kNumAppRequests];
-    struct {
-      double none_rps_;  // AppRequest::kNone slot: always 0, never priced
-      double get_rps;
-      double put_rps;
-      double scan_rps;
-    };
-  };
+  double rps[kNumAppRequests];
 
   constexpr Reservation() : rps{} {}
   constexpr Reservation(double get, double put, double scan = 0.0)
@@ -65,8 +57,6 @@ struct Reservation {
     return sum;
   }
 };
-static_assert(sizeof(Reservation) == kNumAppRequests * sizeof(double),
-              "member aliases must overlay the per-class rate array");
 
 // How the policy prices a normalized request (the Fig. 11 ablation).
 enum class ProfileMode {

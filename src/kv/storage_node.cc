@@ -36,7 +36,7 @@ StorageNode::StorageNode(sim::EventLoop& loop, NodeOptions options)
     // One cache, one budget, for every tenant partition on the node; the
     // partitions get it via TenantLsmOptions' shared_block_cache pointer.
     block_cache_ = std::make_unique<lsm::BlockCache>(
-        options_.lsm_options.block_cache_bytes, /*cache_data=*/true);
+        options_.lsm_options.block_cache_bytes);
   }
   if (options_.prefill_bytes > 0) {
     device_.Prefill(options_.prefill_bytes);

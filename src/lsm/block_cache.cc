@@ -6,16 +6,14 @@ namespace libra::lsm {
 
 CachedBlockRef BlockCache::Get(iosched::TenantId tenant, uint64_t table,
                                Kind kind, uint64_t offset) {
-  const Key key{tenant, table, kind, offset};
-  TenantCounters& tc = tenants_[tenant];
-  const auto it = map_.find(key);
+  const auto it = map_.find(Key{tenant, table, kind, offset});
   if (it == map_.end()) {
     ++misses_;
-    ++tc.misses[static_cast<int>(kind)];
+    ++tenants_[tenant].misses[static_cast<int>(kind)];
     return nullptr;
   }
   ++hits_;
-  ++tc.hits[static_cast<int>(kind)];
+  ++it->second->counters->hits[static_cast<int>(kind)];
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return it->second->block;
 }
@@ -25,7 +23,7 @@ void BlockCache::Insert(iosched::TenantId tenant, uint64_t table, Kind kind,
                         uint64_t bytes) {
   const Key key{tenant, table, kind, offset};
   EraseKey(key);  // replace semantics (concurrent loaders may both insert)
-  lru_.push_front(Entry{key, std::move(block), bytes});
+  lru_.push_front(Entry{key, std::move(block), bytes, &tenants_[tenant]});
   map_[key] = lru_.begin();
   resident_bytes_ += bytes;
   if (capacity_bytes_ == 0) {
@@ -35,7 +33,7 @@ void BlockCache::Insert(iosched::TenantId tenant, uint64_t table, Kind kind,
     const Entry& victim = lru_.back();
     resident_bytes_ -= victim.bytes;
     ++evictions_;
-    ++tenants_[victim.key.tenant].evictions;
+    ++victim.counters->evictions;
     map_.erase(victim.key);
     lru_.pop_back();
   }

@@ -1,11 +1,18 @@
-// Shared byte-budget LRU cache for SSTable blocks.
+// Byte-budget LRU cache for SSTable blocks: the only place an SSTable's
+// index, filter or data block is kept between lookups.
 //
-// One cache serves three block kinds — parsed index blocks, bloom filter
-// blocks, and raw data blocks — under a single capacity, so hot filters can
-// displace cold data blocks and vice versa. A cache hit costs zero device
-// IO; a miss makes the caller re-read (and re-charge, via its IoTag) the
-// block from the device, which is how eviction pressure shows up in a
-// tenant's attributed VOPs.
+// The capacity picks the mode:
+//   - 0 (the LsmDb default, one cache per DB): index and filter blocks
+//     only, never evicted — each table keeps them after first use, like
+//     LevelDB's table cache and the paper's §3.1 "one index block read per
+//     probed table". Data blocks are not cached: an unbudgeted cache would
+//     keep every data block ever read.
+//   - > 0 (typically one node-shared cache): all three kinds — parsed index
+//     blocks, bloom filter blocks, raw data blocks — under that one budget,
+//     so hot filters can displace cold data blocks and vice versa.
+// A cache hit costs zero device IO; a miss makes the caller re-read (and
+// re-charge, via its IoTag) the block from the device, which is how
+// eviction pressure shows up in a tenant's attributed VOPs.
 //
 // Keys carry the owning tenant: with one node-shared cache, tenants of
 // different DB partitions reuse table file numbers (each LsmDb numbers its
@@ -15,9 +22,6 @@
 //
 // Entries are shared_ptr<const CachedBlock>: a lookup in flight keeps a
 // just-evicted block alive until it finishes; the next lookup re-reads it.
-// Capacity 0 = unbounded. `cache_data` false restricts the cache to index
-// and filter blocks — the deprecated `table_cache_bytes` alias mode, byte-
-// identical to the old TableIndexCache this class replaces.
 
 #ifndef LIBRA_SRC_LSM_BLOCK_CACHE_H_
 #define LIBRA_SRC_LSM_BLOCK_CACHE_H_
@@ -57,8 +61,8 @@ class BlockCache {
     uint64_t evictions = 0;  // this tenant's blocks pushed out by pressure
   };
 
-  explicit BlockCache(uint64_t capacity_bytes = 0, bool cache_data = true)
-      : capacity_bytes_(capacity_bytes), cache_data_(cache_data) {}
+  explicit BlockCache(uint64_t capacity_bytes = 0)
+      : capacity_bytes_(capacity_bytes) {}
 
   BlockCache(const BlockCache&) = delete;
   BlockCache& operator=(const BlockCache&) = delete;
@@ -78,7 +82,8 @@ class BlockCache {
   // Drops every block of `table` when it is deleted (not an eviction).
   void EraseTable(iosched::TenantId tenant, uint64_t table);
 
-  bool caches_data() const { return cache_data_; }
+  // Data blocks are cached only under a budget (see the header comment).
+  bool caches_data() const { return capacity_bytes_ > 0; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
   uint64_t resident_bytes() const { return resident_bytes_; }
   size_t entries() const { return map_.size(); }
@@ -104,13 +109,15 @@ class BlockCache {
     Key key;
     CachedBlockRef block;
     uint64_t bytes = 0;
+    // The owning tenant's slot in tenants_ (map nodes never move and are
+    // never erased), so a hit or an eviction skips the tenant lookup.
+    TenantCounters* counters = nullptr;
   };
   using LruList = std::list<Entry>;
 
   void EraseKey(const Key& key);
 
-  uint64_t capacity_bytes_;
-  bool cache_data_;
+  uint64_t capacity_bytes_;  // 0 = unbounded, index and filter blocks only
   LruList lru_;                            // front = most recent
   std::map<Key, LruList::iterator> map_;   // ordered: EraseTable range-scans
   std::map<iosched::TenantId, TenantCounters> tenants_;

@@ -26,15 +26,8 @@ LsmDb::LsmDb(sim::EventLoop& loop, fs::SimFs& fs,
   assert(options_.num_levels >= 2);
   if (options_.shared_block_cache != nullptr) {
     cache_ = options_.shared_block_cache;
-  } else if (options_.block_cache_bytes > 0) {
-    owned_cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes,
-                                                /*cache_data=*/true);
-    cache_ = owned_cache_.get();
-  } else if (options_.table_cache_bytes > 0) {
-    // Deprecated alias: index blocks only, byte-identical IO to the old
-    // TableIndexCache.
-    owned_cache_ = std::make_unique<BlockCache>(options_.table_cache_bytes,
-                                                /*cache_data=*/false);
+  } else {
+    owned_cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes);
     cache_ = owned_cache_.get();
   }
   auto v = std::make_shared<Version>();
@@ -460,6 +453,8 @@ sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
   assert(begin < end);
   auto handle = std::make_shared<TableHandle>();
   handle->fs = &fs_;
+  handle->cache = cache_;
+  handle->tenant = tenant_;
   handle->number = next_file_number_++;
   handle->name = TableName(handle->number);
   auto created = fs_.Create(handle->name);
@@ -484,12 +479,8 @@ sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
   handle->smallest = builder.smallest_key();
   handle->largest = builder.largest_key();
   handle->size_bytes = fs_.SizeOf(handle->file);
-  // cache_ is null when no cache is configured: the legacy reader-resident
-  // index (identical IO pattern to before the cache).
-  handle->cache = cache_;
-  handle->tenant = tenant_;
   handle->reader = std::make_unique<SstableReader>(
-      fs_, handle->file, sst_opt, cache_, handle->number, tenant_,
+      fs_, handle->file, *cache_, sst_opt, handle->number, tenant_,
       &read_counters_);
   co_return handle;
 }
@@ -1103,27 +1094,19 @@ LsmStats LsmDb::stats() const {
   s.filter_block_reads = read_counters_.filter_block_reads;
   s.data_block_reads = read_counters_.data_block_reads;
   s.data_cache_hits = read_counters_.data_cache_hits;
-  if (cache_ != nullptr) {
-    constexpr int kIdx = static_cast<int>(BlockCache::Kind::kIndex);
-    constexpr int kFlt = static_cast<int>(BlockCache::Kind::kFilter);
-    constexpr int kDat = static_cast<int>(BlockCache::Kind::kData);
-    const BlockCache::TenantCounters tc = cache_->CountersOf(tenant_);
-    s.bcache_index_hits = tc.hits[kIdx];
-    s.bcache_index_misses = tc.misses[kIdx];
-    s.bcache_filter_hits = tc.hits[kFlt];
-    s.bcache_filter_misses = tc.misses[kFlt];
-    s.bcache_data_hits = tc.hits[kDat];
-    s.bcache_data_misses = tc.misses[kDat];
-    s.bcache_evictions = tc.evictions;
-    s.bcache_resident_bytes = cache_->resident_bytes();
-    s.bcache_capacity_bytes = cache_->capacity_bytes();
-    // Legacy table-cache view: this tenant's index-block traffic (equal to
-    // the old TableIndexCache counters when the cache is DB-owned).
-    s.table_cache_hits = tc.hits[kIdx];
-    s.table_cache_misses = tc.misses[kIdx];
-    s.table_cache_evictions = tc.evictions;
-    s.table_cache_resident_bytes = cache_->resident_bytes();
-  }
+  constexpr int kIdx = static_cast<int>(BlockCache::Kind::kIndex);
+  constexpr int kFlt = static_cast<int>(BlockCache::Kind::kFilter);
+  constexpr int kDat = static_cast<int>(BlockCache::Kind::kData);
+  const BlockCache::TenantCounters tc = cache_->CountersOf(tenant_);
+  s.bcache_index_hits = tc.hits[kIdx];
+  s.bcache_index_misses = tc.misses[kIdx];
+  s.bcache_filter_hits = tc.hits[kFlt];
+  s.bcache_filter_misses = tc.misses[kFlt];
+  s.bcache_data_hits = tc.hits[kDat];
+  s.bcache_data_misses = tc.misses[kDat];
+  s.bcache_evictions = tc.evictions;
+  s.bcache_resident_bytes = cache_->resident_bytes();
+  s.bcache_capacity_bytes = cache_->capacity_bytes();
   for (const auto& files : current_->levels) {
     s.files_per_level.push_back(static_cast<int>(files.size()));
   }

@@ -73,19 +73,15 @@ struct LsmOptions {
   bool wal_group_commit = false;
   uint32_t wal_group_max_bytes = 256 * 1024;
   uint32_t wal_group_max_records = 64;
-  // Deprecated alias for block_cache_bytes that caches index blocks only
-  // (the old TableIndexCache, byte-identical IO). 0 = unbounded (default:
-  // every table keeps its index resident after first use, as before).
-  // Ignored when block_cache_bytes or shared_block_cache is set.
-  uint64_t table_cache_bytes = 0;
   // Bloom filter density for tables written at flush and compaction; 0
   // writes no filter blocks (files byte-identical to the seed format).
   uint32_t bloom_bits_per_key = 0;
-  // Byte budget for a DB-owned BlockCache over index + filter + data
-  // blocks; 0 = no data-block caching (table_cache_bytes still applies).
+  // Byte budget for the DB-owned BlockCache over index + filter + data
+  // blocks; 0 (default) = an unbudgeted cache of index and filter blocks
+  // only, kept for each table's lifetime.
   uint64_t block_cache_bytes = 0;
   // Node-shared BlockCache (one budget across all tenants' partitions);
-  // when set it overrides both byte knobs above. Must outlive the DB.
+  // when set it replaces the DB-owned cache. Must outlive the DB.
   BlockCache* shared_block_cache = nullptr;
   CompactionPolicy compaction_policy = CompactionPolicy::kLeveled;
   // Size-tiered only: runs a tier accumulates before the whole tier merges
@@ -115,12 +111,6 @@ struct LsmStats {
   uint64_t wal_batches = 0;          // device appends issued by leaders
   uint64_t wal_batched_records = 0;  // records that rode those batches
   uint64_t wal_max_batch_records = 0;
-  // Table (index-block) cache — this tenant's index-block traffic through
-  // whichever cache serves it (legacy names kept for stats continuity):
-  uint64_t table_cache_hits = 0;
-  uint64_t table_cache_misses = 0;
-  uint64_t table_cache_evictions = 0;
-  uint64_t table_cache_resident_bytes = 0;
   // Bloom filters (all zero unless bloom_bits_per_key > 0):
   uint64_t bloom_probes = 0;
   uint64_t bloom_negatives = 0;
@@ -131,7 +121,8 @@ struct LsmStats {
   uint64_t data_block_reads = 0;
   uint64_t data_cache_hits = 0;
   // Block cache, this tenant's view (per-kind hit/miss + its evictions;
-  // resident/capacity are cache-wide — the budget is shared):
+  // resident/capacity are cache-wide — a node-shared budget covers every
+  // tenant on the node):
   uint64_t bcache_index_hits = 0;
   uint64_t bcache_index_misses = 0;
   uint64_t bcache_filter_hits = 0;
@@ -244,7 +235,7 @@ class LsmDb {
     std::string smallest;
     std::string largest;
     std::unique_ptr<SstableReader> reader;
-    BlockCache* cache = nullptr;  // set iff a cache serves this table
+    BlockCache* cache = nullptr;  // the DB's cache_, set at creation
     iosched::TenantId tenant = 0;
     // Tracing lineage: the FLUSH/COMPACT span that built this table, plus a
     // bounded sample of the app-request spans whose bytes it holds. A later
@@ -254,9 +245,7 @@ class LsmDb {
     obs::SpanLinkSet origin_links;
 
     ~TableHandle() {
-      if (cache != nullptr) {
-        cache->EraseTable(tenant, number);  // dead table: drop its blocks
-      }
+      cache->EraseTable(tenant, number);  // dead table: drop its blocks
       if (fs != nullptr && !name.empty()) {
         fs->Delete(name);  // last reference gone: reclaim the space
       }
@@ -320,10 +309,11 @@ class LsmDb {
   iosched::TenantId tenant_;
   std::string prefix_;
   LsmOptions options_;
-  // The block cache serving this DB's readers, resolved from options_ in
-  // the constructor: a caller-owned shared cache, a DB-owned full cache
-  // (block_cache_bytes), a DB-owned index-only cache (the deprecated
-  // table_cache_bytes alias), or nullptr — legacy reader-resident indexes.
+  // The block cache serving this DB's readers, resolved in the constructor:
+  // the caller's shared cache, else a DB-owned one of block_cache_bytes.
+  // Never null. owned_cache_ must stay declared before current_ (and every
+  // other member holding a TableRef): members are destroyed in reverse
+  // order, and a dying TableHandle erases its blocks from this cache.
   std::unique_ptr<BlockCache> owned_cache_;
   BlockCache* cache_ = nullptr;
   TableReadCounters read_counters_;  // shared by all this DB's readers

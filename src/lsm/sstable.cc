@@ -79,7 +79,7 @@ sim::Task<Status> SstableBuilder::Finish(const iosched::IoTag& tag) {
 }
 
 SstableReader::SstableReader(fs::SimFs& fs, fs::FileId file,
-                             SstableOptions options, BlockCache* cache,
+                             BlockCache& cache, SstableOptions options,
                              uint64_t table, iosched::TenantId tenant,
                              TableReadCounters* counters)
     : fs_(fs),
@@ -115,14 +115,10 @@ sim::Task<Status> SstableReader::LoadFooter(const iosched::IoTag& tag) {
 
 sim::Task<StatusOr<TableIndexRef>> SstableReader::LoadIndex(
     const iosched::IoTag& tag) {
-  if (cache_ != nullptr) {
-    if (CachedBlockRef hit =
-            cache_->Get(tenant_, table_, BlockCache::Kind::kIndex, 0);
-        hit != nullptr) {
-      co_return hit->index;
-    }
-  } else if (resident_index_ != nullptr) {
-    co_return resident_index_;
+  if (CachedBlockRef hit =
+          cache_.Get(tenant_, table_, BlockCache::Kind::kIndex, 0);
+      hit != nullptr) {
+    co_return hit->index;
   }
   if (Status s = co_await LoadFooter(tag); !s.ok()) {
     co_return s;
@@ -160,14 +156,10 @@ sim::Task<StatusOr<TableIndexRef>> SstableReader::LoadIndex(
     index->emplace_back(std::string(key), block_off, block_size);
   }
   TableIndexRef ref = std::move(index);
-  if (cache_ != nullptr) {
-    auto block = std::make_shared<CachedBlock>();
-    block->index = ref;
-    cache_->Insert(tenant_, table_, BlockCache::Kind::kIndex, 0,
-                   std::move(block), index_size);
-  } else {
-    resident_index_ = ref;
-  }
+  auto block = std::make_shared<CachedBlock>();
+  block->index = ref;
+  cache_.Insert(tenant_, table_, BlockCache::Kind::kIndex, 0, std::move(block),
+                index_size);
   co_return ref;
 }
 
@@ -176,18 +168,14 @@ sim::Task<StatusOr<CachedBlockRef>> SstableReader::LoadFilter(
   if (footer_cached_ && filter_size_ == 0) {
     co_return CachedBlockRef{};  // known filterless: zero IO, zero probes
   }
-  if (cache_ != nullptr) {
-    // Only probe once the footer proved a filter exists — otherwise every
-    // GET against a filterless table would count a phantom cache miss.
-    if (footer_cached_) {
-      if (CachedBlockRef hit =
-              cache_->Get(tenant_, table_, BlockCache::Kind::kFilter, 0);
-          hit != nullptr) {
-        co_return hit;
-      }
+  // Only probe once the footer proved a filter exists — otherwise every
+  // GET against a filterless table would count a phantom cache miss.
+  if (footer_cached_) {
+    if (CachedBlockRef hit =
+            cache_.Get(tenant_, table_, BlockCache::Kind::kFilter, 0);
+        hit != nullptr) {
+      co_return hit;
     }
-  } else if (resident_filter_ != nullptr) {
-    co_return resident_filter_;
   }
   if (Status s = co_await LoadFooter(tag); !s.ok()) {
     co_return s;
@@ -213,12 +201,8 @@ sim::Task<StatusOr<CachedBlockRef>> SstableReader::LoadFilter(
   auto block = std::make_shared<CachedBlock>();
   block->bytes = filter_block.substr(filter_offset - read_off, filter_size_);
   CachedBlockRef ref = std::move(block);
-  if (cache_ != nullptr) {
-    cache_->Insert(tenant_, table_, BlockCache::Kind::kFilter, 0, ref,
-                   filter_size_);
-  } else {
-    resident_filter_ = ref;
-  }
+  cache_.Insert(tenant_, table_, BlockCache::Kind::kFilter, 0, ref,
+                filter_size_);
   co_return ref;
 }
 
@@ -271,10 +255,9 @@ sim::Task<SstableReader::GetResult> SstableReader::Get(
   const uint64_t block_off = std::get<1>(*it);
   CachedBlockRef data_ref;
   std::string local_block;
-  const bool data_cached = cache_ != nullptr && cache_->caches_data();
+  const bool data_cached = cache_.caches_data();
   if (data_cached) {
-    data_ref = cache_->Get(tenant_, table_, BlockCache::Kind::kData,
-                           block_off);
+    data_ref = cache_.Get(tenant_, table_, BlockCache::Kind::kData, block_off);
   }
   if (data_ref != nullptr) {
     if (counters_ != nullptr) {
@@ -292,8 +275,8 @@ sim::Task<SstableReader::GetResult> SstableReader::Get(
     if (data_cached) {
       auto filled = std::make_shared<CachedBlock>();
       filled->bytes = std::move(local_block);
-      cache_->Insert(tenant_, table_, BlockCache::Kind::kData, block_off,
-                     filled, filled->bytes.size());
+      cache_.Insert(tenant_, table_, BlockCache::Kind::kData, block_off,
+                    filled, filled->bytes.size());
       data_ref = std::move(filled);
     }
   }

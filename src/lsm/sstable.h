@@ -18,11 +18,12 @@
 // started from) the lookup loads the index block (>= one 4KB read),
 // binary-searches it, and reads exactly one data block.
 //
-// Index, filter, and data blocks can be served from a shared BlockCache;
+// Index, filter, and data blocks between lookups live only in a BlockCache;
 // hits cost zero device IO and misses re-read (and re-charge) from the
-// device. Without a cache, the index and filter stay resident in the
-// reader after first use; data blocks always hit the device — O_DIRECT
-// leaves no page cache.
+// device. An unbudgeted cache (capacity 0, the default) keeps the index and
+// filter from first use until the table is deleted, like LevelDB's table
+// cache, and caches no data block — data blocks then always hit the device,
+// since O_DIRECT leaves no page cache.
 //
 // The builder emits the table through a sequential, chunked append stream
 // (the paper's "asynchronous, io-efficient" FLUSH/COMPACT writes).
@@ -108,20 +109,18 @@ class SstableBuilder {
 };
 
 // Reads a finished table. The footer is loaded from disk on first need and
-// cached in the reader (tables are immutable). The parsed index and the
-// filter block live in the shared BlockCache when one is wired — bounded
-// by its budget, re-read and re-charged after eviction — or stay resident
-// in the reader forever without one (the default). Data blocks are served
-// from the cache only when it caches data (`block_cache_bytes` mode, not
-// the deprecated index-only `table_cache_bytes` alias).
+// cached in the reader (tables are immutable). The parsed index, the filter
+// block and — when the cache has a budget — data blocks live in the
+// BlockCache: re-read and re-charged after eviction, which only a budgeted
+// cache does.
 class SstableReader {
  public:
-  // `cache`, if non-null, holds this reader's blocks under (`tenant`,
-  // `table`) — the owning tenant and table file number; table numbers
-  // alone collide across tenants' partitions on a node-shared cache.
-  // `counters`, if non-null, receives read-path events.
-  SstableReader(fs::SimFs& fs, fs::FileId file, SstableOptions options = {},
-                BlockCache* cache = nullptr, uint64_t table = 0,
+  // `cache` holds this reader's blocks under (`tenant`, `table`) — the
+  // owning tenant and table file number; table numbers alone collide
+  // across tenants' partitions on a node-shared cache. It must outlive the
+  // reader. `counters`, if non-null, receives read-path events.
+  SstableReader(fs::SimFs& fs, fs::FileId file, BlockCache& cache,
+                SstableOptions options = {}, uint64_t table = 0,
                 iosched::TenantId tenant = 0,
                 TableReadCounters* counters = nullptr);
 
@@ -195,10 +194,9 @@ class SstableReader {
   // reader afterwards), locating the index and filter regions.
   sim::Task<Status> LoadFooter(const iosched::IoTag& tag);
 
-  // Resolves the parsed index: from the shared cache (or the reader-local
-  // resident copy when uncached), else loads footer + index block from the
-  // device, charged to `tag`. The returned ref pins the index for the
-  // caller even if the cache evicts it mid-lookup.
+  // Resolves the parsed index: from the cache, else loads footer + index
+  // block from the device, charged to `tag`. The returned ref pins the
+  // index for the caller even if the cache evicts it mid-lookup.
   sim::Task<StatusOr<TableIndexRef>> LoadIndex(const iosched::IoTag& tag);
 
   // Resolves the filter block the same way. Returns a null ref when the
@@ -208,7 +206,7 @@ class SstableReader {
   fs::SimFs& fs_;
   fs::FileId file_;
   SstableOptions options_;
-  BlockCache* cache_;  // nullptr: index/filter resident in the reader
+  BlockCache& cache_;
   uint64_t table_;
   iosched::TenantId tenant_;
   TableReadCounters* counters_;  // nullptr: uncounted (bare-reader tests)
@@ -218,8 +216,6 @@ class SstableReader {
   uint64_t index_offset_ = 0;
   uint64_t index_size_ = 0;
   uint64_t filter_size_ = 0;  // 0 after footer load = table has no filter
-  TableIndexRef resident_index_;   // only used when cache_ == nullptr
-  CachedBlockRef resident_filter_;  // likewise
 };
 
 }  // namespace libra::lsm

@@ -13,6 +13,7 @@
 namespace libra::cluster {
 namespace {
 
+using iosched::AppRequest;
 using iosched::Reservation;
 using iosched::TenantId;
 
@@ -244,11 +245,11 @@ TEST(ClusterTest, InitialSplitSumsExactlyToGlobal) {
   double put_sum = 0.0;
   for (int n = 0; n < rig.cl.num_nodes(); ++n) {
     const Reservation r = rig.cl.node(n).policy().GetReservation(1);
-    get_sum += r.get_rps;
-    put_sum += r.put_rps;
+    get_sum += r.RateOf(AppRequest::kGet);
+    put_sum += r.RateOf(AppRequest::kPut);
   }
-  EXPECT_DOUBLE_EQ(get_sum, global.get_rps);
-  EXPECT_DOUBLE_EQ(put_sum, global.put_rps);
+  EXPECT_DOUBLE_EQ(get_sum, global.RateOf(AppRequest::kGet));
+  EXPECT_DOUBLE_EQ(put_sum, global.RateOf(AppRequest::kPut));
 }
 
 TEST(ClusterTest, UpdateGlobalReservationReinstallsSplit) {
@@ -261,10 +262,12 @@ TEST(ClusterTest, UpdateGlobalReservationReinstallsSplit) {
       StatusCode::kResourceExhausted);
   ASSERT_TRUE(
       rig.cl.UpdateGlobalReservation(1, GlobalReservation{400.0, 40.0}).ok());
-  EXPECT_DOUBLE_EQ(rig.cl.global_reservation(1).get_rps, 400.0);
+  EXPECT_DOUBLE_EQ(rig.cl.global_reservation(1).RateOf(AppRequest::kGet),
+                   400.0);
   double get_sum = 0.0;
   for (int n = 0; n < rig.cl.num_nodes(); ++n) {
-    get_sum += rig.cl.node(n).policy().GetReservation(1).get_rps;
+    get_sum +=
+        rig.cl.node(n).policy().GetReservation(1).RateOf(AppRequest::kGet);
   }
   EXPECT_DOUBLE_EQ(get_sum, 400.0);
 }

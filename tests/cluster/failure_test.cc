@@ -18,6 +18,7 @@
 namespace libra::cluster {
 namespace {
 
+using iosched::AppRequest;
 using iosched::Reservation;
 using iosched::TenantId;
 
@@ -67,10 +68,10 @@ Reservation SumAliveReservations(Cluster& cl, TenantId tenant) {
       continue;
     }
     const Reservation r = cl.node(n).policy().GetReservation(tenant);
-    EXPECT_GE(r.get_rps, 0.0);
-    EXPECT_GE(r.put_rps, 0.0);
-    sum.get_rps += r.get_rps;
-    sum.put_rps += r.put_rps;
+    for (AppRequest app : {AppRequest::kGet, AppRequest::kPut}) {
+      EXPECT_GE(r.RateOf(app), 0.0);
+      sum.RateOf(app) += r.RateOf(app);
+    }
   }
   return sum;
 }
@@ -78,8 +79,10 @@ Reservation SumAliveReservations(Cluster& cl, TenantId tenant) {
 void ExpectSumMatchesGlobal(Cluster& cl, TenantId tenant,
                             const GlobalReservation& global) {
   const Reservation sum = SumAliveReservations(cl, tenant);
-  EXPECT_NEAR(sum.get_rps, global.get_rps, 1e-6) << "tenant " << tenant;
-  EXPECT_NEAR(sum.put_rps, global.put_rps, 1e-6) << "tenant " << tenant;
+  for (AppRequest app : {AppRequest::kGet, AppRequest::kPut}) {
+    EXPECT_NEAR(sum.RateOf(app), global.RateOf(app), 1e-6)
+        << "tenant " << tenant;
+  }
 }
 
 TEST(ReplicationTest, ReplicaSetsAreDistinctAndLeaderFirst) {

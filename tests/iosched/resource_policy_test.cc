@@ -55,7 +55,7 @@ TEST(ResourcePolicyTest, TrackedProfileOverridesFallback) {
   // Observed: GETs cost 5 VOPs per normalized request (amplified lookups).
   for (int i = 0; i < 50; ++i) {
     rig.sched.tracker().RecordAppRequest(1, AppRequest::kGet, 1024);
-    rig.sched.tracker().RecordIo({1, AppRequest::kGet, InternalOp::kNone},
+    rig.sched.tracker().RecordIo({1, AppRequest::kGet, InternalOp::kNone, {}},
                                  ssd::IoType::kRead, 1024, 5.0);
   }
   rig.policy.RunIntervalStep();
@@ -69,12 +69,12 @@ TEST(ResourcePolicyTest, IndirectCostsIncludedInAllocation) {
   // 100 PUTs at 2 VOPs direct, plus one FLUSH of 100 VOPs.
   for (int i = 0; i < 100; ++i) {
     tr.RecordAppRequest(1, AppRequest::kPut, 1024);
-    tr.RecordIo({1, AppRequest::kPut, InternalOp::kNone}, ssd::IoType::kWrite,
-                1024, 2.0);
+    tr.RecordIo({1, AppRequest::kPut, InternalOp::kNone, {}},
+                ssd::IoType::kWrite, 1024, 2.0);
   }
   tr.RecordTrigger(1, AppRequest::kPut, InternalOp::kFlush);
-  tr.RecordIo({1, AppRequest::kPut, InternalOp::kFlush}, ssd::IoType::kWrite,
-              256 * 1024, 100.0);
+  tr.RecordIo({1, AppRequest::kPut, InternalOp::kFlush, {}},
+              ssd::IoType::kWrite, 256 * 1024, 100.0);
   tr.RecordInternalOpDone(1, InternalOp::kFlush);
   rig.policy.RunIntervalStep();
   // profile = 2 + 100*(1/100) = 3 VOPs per normalized PUT.
@@ -90,12 +90,12 @@ TEST(ResourcePolicyTest, ObjectSizeOnlyModeIgnoresSecondaryIo) {
   ResourceTracker& tr = rig.sched.tracker();
   for (int i = 0; i < 100; ++i) {
     tr.RecordAppRequest(1, AppRequest::kPut, 1024);
-    tr.RecordIo({1, AppRequest::kPut, InternalOp::kNone}, ssd::IoType::kWrite,
-                1024, 2.0);
+    tr.RecordIo({1, AppRequest::kPut, InternalOp::kNone, {}},
+                ssd::IoType::kWrite, 1024, 2.0);
   }
   tr.RecordTrigger(1, AppRequest::kPut, InternalOp::kFlush);
-  tr.RecordIo({1, AppRequest::kPut, InternalOp::kFlush}, ssd::IoType::kWrite,
-              256 * 1024, 100.0);
+  tr.RecordIo({1, AppRequest::kPut, InternalOp::kFlush, {}},
+              ssd::IoType::kWrite, 256 * 1024, 100.0);
   tr.RecordInternalOpDone(1, InternalOp::kFlush);
   no_profile.RunIntervalStep();
   // Object-size pricing: a 1KB PUT is priced as a 1KB write (~2.8 VOPs by
@@ -141,7 +141,7 @@ TEST(ResourcePolicyTest, PeriodicStepRunsOnInterval) {
   rig.loop.ScheduleAt(2500 * kMillisecond, [&] {
     for (int i = 0; i < 100; ++i) {
       rig.sched.tracker().RecordAppRequest(1, AppRequest::kGet, 1024);
-      rig.sched.tracker().RecordIo({1, AppRequest::kGet, InternalOp::kNone},
+      rig.sched.tracker().RecordIo({1, AppRequest::kGet, InternalOp::kNone, {}},
                                    ssd::IoType::kRead, 1024, 4.0);
     }
   });
@@ -158,7 +158,7 @@ TEST(ResourcePolicyTest, CapacityMonitorObservesThroughput) {
   // Simulate 10k VOP/s of tracked consumption between intervals.
   for (int s = 0; s < 4; ++s) {
     rig.loop.ScheduleAt((s + 1) * kSecond - 1, [&] {
-      rig.sched.tracker().RecordIo({1, AppRequest::kGet, InternalOp::kNone},
+      rig.sched.tracker().RecordIo({1, AppRequest::kGet, InternalOp::kNone, {}},
                                    ssd::IoType::kRead, 1024, 10000.0);
     });
   }

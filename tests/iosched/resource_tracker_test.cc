@@ -16,8 +16,8 @@ TEST(ResourceTrackerTest, DirectCostPerNormalizedRequest) {
   // 10 GETs of 4KB each consuming 1.2 VOPs apiece.
   for (int i = 0; i < 10; ++i) {
     tr.RecordAppRequest(1, AppRequest::kGet, 4096);
-    tr.RecordIo({1, AppRequest::kGet, InternalOp::kNone}, ssd::IoType::kRead,
-                4096, 1.2);
+    tr.RecordIo({1, AppRequest::kGet, InternalOp::kNone, {}},
+                ssd::IoType::kRead, 4096, 1.2);
   }
   tr.Roll();
   // u = 12 VOPs over s = 40 normalized requests -> q = 0.3.
@@ -29,12 +29,12 @@ TEST(ResourceTrackerTest, IndirectCostAttribution) {
   // 100 normalized PUTs trigger one FLUSH that costs 50 VOPs.
   for (int i = 0; i < 100; ++i) {
     tr.RecordAppRequest(1, AppRequest::kPut, 1024);
-    tr.RecordIo({1, AppRequest::kPut, InternalOp::kNone}, ssd::IoType::kWrite,
-                1024, 2.0);
+    tr.RecordIo({1, AppRequest::kPut, InternalOp::kNone, {}},
+                ssd::IoType::kWrite, 1024, 2.0);
   }
   tr.RecordTrigger(1, AppRequest::kPut, InternalOp::kFlush);
-  tr.RecordIo({1, AppRequest::kPut, InternalOp::kFlush}, ssd::IoType::kWrite,
-              256 * 1024, 50.0);
+  tr.RecordIo({1, AppRequest::kPut, InternalOp::kFlush, {}},
+              ssd::IoType::kWrite, 256 * 1024, 50.0);
   tr.RecordInternalOpDone(1, InternalOp::kFlush);
   tr.Roll();
 
@@ -57,8 +57,8 @@ TEST(ResourceTrackerTest, SporadicOpNormalizedSinceLastTrigger) {
     tr.RecordAppRequest(1, AppRequest::kPut, 1024);
   }
   tr.RecordTrigger(1, AppRequest::kPut, InternalOp::kCompact);
-  tr.RecordIo({1, AppRequest::kPut, InternalOp::kCompact}, ssd::IoType::kWrite,
-              512 * 1024, 100.0);
+  tr.RecordIo({1, AppRequest::kPut, InternalOp::kCompact, {}},
+              ssd::IoType::kWrite, 512 * 1024, 100.0);
   tr.RecordInternalOpDone(1, InternalOp::kCompact);
   tr.Roll();
 
@@ -73,12 +73,12 @@ TEST(ResourceTrackerTest, InflightInternalOpDefersAttribution) {
   ResourceTracker tr(1.0);
   tr.RecordAppRequest(1, AppRequest::kPut, 1024);
   tr.RecordTrigger(1, AppRequest::kPut, InternalOp::kFlush);
-  tr.RecordIo({1, AppRequest::kPut, InternalOp::kFlush}, ssd::IoType::kWrite,
-              4096, 10.0);
+  tr.RecordIo({1, AppRequest::kPut, InternalOp::kFlush, {}},
+              ssd::IoType::kWrite, 4096, 10.0);
   // Flush has NOT completed; rolling must not lose the partial 10 VOPs.
   tr.Roll();
-  tr.RecordIo({1, AppRequest::kPut, InternalOp::kFlush}, ssd::IoType::kWrite,
-              4096, 10.0);
+  tr.RecordIo({1, AppRequest::kPut, InternalOp::kFlush, {}},
+              ssd::IoType::kWrite, 4096, 10.0);
   tr.RecordInternalOpDone(1, InternalOp::kFlush);
   tr.Roll();
   // q_flush sees the full 20 VOPs when the op finally completes.
@@ -88,10 +88,10 @@ TEST(ResourceTrackerTest, InflightInternalOpDefersAttribution) {
 
 TEST(ResourceTrackerTest, StatsAccumulateAcrossRolls) {
   ResourceTracker tr;
-  tr.RecordIo({7, AppRequest::kGet, InternalOp::kNone}, ssd::IoType::kRead,
+  tr.RecordIo({7, AppRequest::kGet, InternalOp::kNone, {}}, ssd::IoType::kRead,
               2048, 1.0);
   tr.Roll();
-  tr.RecordIo({7, AppRequest::kPut, InternalOp::kNone}, ssd::IoType::kWrite,
+  tr.RecordIo({7, AppRequest::kPut, InternalOp::kNone, {}}, ssd::IoType::kWrite,
               1024, 3.0);
   const TenantIoStats& s = tr.Stats(7);
   EXPECT_EQ(s.read_ops, 1u);
@@ -125,8 +125,8 @@ TEST(ResourceTrackerTest, EwmaSmoothsProfileAcrossIntervals) {
   auto interval = [&](double cost_per_req) {
     for (int i = 0; i < 10; ++i) {
       tr.RecordAppRequest(1, AppRequest::kGet, 1024);
-      tr.RecordIo({1, AppRequest::kGet, InternalOp::kNone}, ssd::IoType::kRead,
-                  1024, cost_per_req);
+      tr.RecordIo({1, AppRequest::kGet, InternalOp::kNone, {}},
+                  ssd::IoType::kRead, 1024, cost_per_req);
     }
     tr.Roll();
   };
@@ -143,9 +143,9 @@ TEST(ResourceTrackerTest, SharedIoSlicesAccountedLikePlainIo) {
   // 3:1 by bytes (6KB/2KB -> 3.0/1.0 VOPs).
   tr.RecordAppRequest(1, AppRequest::kPut, 6144);
   tr.RecordAppRequest(2, AppRequest::kPut, 2048);
-  tr.RecordIoShare({1, AppRequest::kPut, InternalOp::kNone},
+  tr.RecordIoShare({1, AppRequest::kPut, InternalOp::kNone, {}},
                    ssd::IoType::kWrite, 6144, 3.0);
-  tr.RecordIoShare({2, AppRequest::kPut, InternalOp::kNone},
+  tr.RecordIoShare({2, AppRequest::kPut, InternalOp::kNone, {}},
                    ssd::IoType::kWrite, 2048, 1.0);
   // Slice accounting is byte-for-byte identical to RecordIo...
   EXPECT_EQ(tr.Stats(1).write_bytes, 6144u);
@@ -165,7 +165,7 @@ TEST(ResourceTrackerTest, SharedIoSlicesAccountedLikePlainIo) {
 
 TEST(ResourceTrackerTest, SharedIoCountersZeroWithoutBatching) {
   ResourceTracker tr;
-  tr.RecordIo({1, AppRequest::kPut, InternalOp::kNone}, ssd::IoType::kWrite,
+  tr.RecordIo({1, AppRequest::kPut, InternalOp::kNone, {}}, ssd::IoType::kWrite,
               4096, 2.0);
   EXPECT_EQ(tr.shared_io_shares(), 0u);
   EXPECT_EQ(tr.shared_io_bytes(), 0u);

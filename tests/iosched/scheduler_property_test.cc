@@ -47,7 +47,7 @@ double TwoTenantVopRatio(double alloc0, double alloc1, ssd::IoType type0,
     while (loop.Now() < end) {
       const uint64_t slots = (512 * kMiB) / size;
       const uint64_t off = rng.NextU64(slots) * size;
-      IoTag tag{t, AppRequest::kGet, InternalOp::kNone};
+      IoTag tag{t, AppRequest::kGet, InternalOp::kNone, {}};
       if (type == ssd::IoType::kRead) {
         co_await sched.Read(tag, off, size);
       } else {

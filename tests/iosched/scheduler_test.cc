@@ -64,7 +64,7 @@ struct Rig {
       const uint64_t offset = rng.NextU64(slots) * size;
       IoTag tag{tenant,
                 type == ssd::IoType::kRead ? AppRequest::kGet : AppRequest::kPut,
-                InternalOp::kNone};
+                InternalOp::kNone, {}};
       if (type == ssd::IoType::kRead) {
         co_await sched.Read(tag, offset, size);
       } else {
@@ -79,7 +79,8 @@ TEST(SchedulerTest, SingleOpCompletes) {
   rig.sched.SetAllocation(0, 1000.0);
   bool done = false;
   auto t = [&]() -> sim::Task<void> {
-    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone}, 0, 4096);
+    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone, {}}, 0,
+                            4096);
     done = true;
   };
   sim::Detach(t());
@@ -93,7 +94,8 @@ TEST(SchedulerTest, TracksVopCostPerTenant) {
   Rig rig;
   rig.sched.SetAllocation(0, 1000.0);
   auto t = [&]() -> sim::Task<void> {
-    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone}, 0, 1024);
+    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone, {}}, 0,
+                            1024);
   };
   sim::Detach(t());
   rig.loop.Run();
@@ -106,7 +108,7 @@ TEST(SchedulerTest, ChunkingSplitsLargeOps) {
   rig.sched.SetAllocation(0, 10000.0);
   auto t = [&]() -> sim::Task<void> {
     // 512KB -> 4 chunks of 128KB.
-    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone}, 0,
+    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone, {}}, 0,
                             512 * 1024);
   };
   sim::Detach(t());
@@ -121,7 +123,7 @@ TEST(SchedulerTest, ChunkingDisabledKeepsOpWhole) {
   Rig rig(opt);
   rig.sched.SetAllocation(0, 10000.0);
   auto t = [&]() -> sim::Task<void> {
-    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone}, 0,
+    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone, {}}, 0,
                             512 * 1024);
   };
   sim::Detach(t());
@@ -358,7 +360,7 @@ TEST(SchedulerTest, TraceRingCapturesLifecycleEvents) {
   rig.sched.SetAllocation(0, 1000.0);
   auto t = [&]() -> sim::Task<void> {
     for (int i = 0; i < 8; ++i) {
-      co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone},
+      co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone, {}},
                               uint64_t{4096} * i, 4096);
     }
   };
@@ -396,7 +398,8 @@ TEST(SchedulerTest, TracingDisabledByDefault) {
 uint64_t ChunksForRead(Rig& rig, uint32_t size) {
   rig.sched.SetAllocation(0, 100000.0);
   auto t = [&]() -> sim::Task<void> {
-    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone}, 0, size);
+    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone, {}}, 0,
+                            size);
   };
   sim::Detach(t());
   rig.loop.Run();
@@ -438,7 +441,7 @@ TEST(SchedulerTest, ZeroSizeIoCompletesImmediately) {
   rig.sched.SetAllocation(0, 1000.0);
   bool done = false;
   auto t = [&]() -> sim::Task<void> {
-    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone}, 0, 0);
+    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone, {}}, 0, 0);
     done = true;
   };
   sim::Detach(t());
@@ -471,7 +474,7 @@ TEST(SchedulerTest, OpPoolRecyclingNeverDoubleCompletes) {
     for (int i = 0; i < 200; ++i) {
       // Mix sizes so recycled Ops see different chunk counts (1 and 3).
       const uint32_t size = (i % 2 == 0) ? 4096u : 300u * 1024u;
-      co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone},
+      co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone, {}},
                               static_cast<uint64_t>(i) * kMiB, size);
       ++completions;
     }
@@ -528,12 +531,13 @@ TEST(SchedulerTest, SharedWriteSplitsCostByBytes) {
   constexpr uint32_t kSize = 64 * 1024;  // single chunk
   auto t = [&]() -> sim::Task<void> {
     // Reference: the same IOP as a plain single-tag write.
-    co_await rig.sched.Write({9, AppRequest::kPut, InternalOp::kNone}, 0,
+    co_await rig.sched.Write({9, AppRequest::kPut, InternalOp::kNone, {}}, 0,
                              kSize);
     // Batched: tenants 0 and 1 ride one IOP with a 1:3 byte split.
     std::vector<IoShare> manifest;
-    manifest.push_back({{0, AppRequest::kPut, InternalOp::kNone}, kSize / 4});
-    manifest.push_back({{1, AppRequest::kPut, InternalOp::kNone},
+    manifest.push_back(
+        {{0, AppRequest::kPut, InternalOp::kNone, {}}, kSize / 4});
+    manifest.push_back({{1, AppRequest::kPut, InternalOp::kNone, {}},
                         kSize - kSize / 4});
     co_await rig.sched.WriteShared(kSize, kSize, std::move(manifest));
   };
@@ -559,10 +563,10 @@ TEST(SchedulerTest, SharedWriteSingleShareEquivalentToPlainWrite) {
   rig.sched.SetAllocation(9, 10000.0);
   constexpr uint32_t kSize = 16 * 1024;
   auto t = [&]() -> sim::Task<void> {
-    co_await rig.sched.Write({9, AppRequest::kPut, InternalOp::kNone}, 0,
+    co_await rig.sched.Write({9, AppRequest::kPut, InternalOp::kNone, {}}, 0,
                              kSize);
     std::vector<IoShare> manifest;
-    manifest.push_back({{0, AppRequest::kPut, InternalOp::kNone}, kSize});
+    manifest.push_back({{0, AppRequest::kPut, InternalOp::kNone, {}}, kSize});
     co_await rig.sched.WriteShared(kSize, kSize, std::move(manifest));
   };
   sim::Detach(t());
@@ -588,12 +592,13 @@ TEST(SchedulerTest, SharedWriteChunkedManifestSumsExact) {
   const uint32_t kShare1 = 200 * 1024;  // spans chunks 0-2
   const uint32_t kShare2 = kSize - kShare0 - kShare1;  // spans chunks 2-3
   auto t = [&]() -> sim::Task<void> {
-    co_await rig.sched.Write({9, AppRequest::kPut, InternalOp::kNone}, 0,
+    co_await rig.sched.Write({9, AppRequest::kPut, InternalOp::kNone, {}}, 0,
                              kSize);
     std::vector<IoShare> manifest;
-    manifest.push_back({{0, AppRequest::kPut, InternalOp::kNone}, kShare0});
-    manifest.push_back({{1, AppRequest::kPut, InternalOp::kFlush}, kShare1});
-    manifest.push_back({{2, AppRequest::kPut, InternalOp::kNone}, kShare2});
+    manifest.push_back({{0, AppRequest::kPut, InternalOp::kNone, {}}, kShare0});
+    manifest.push_back(
+        {{1, AppRequest::kPut, InternalOp::kFlush, {}}, kShare1});
+    manifest.push_back({{2, AppRequest::kPut, InternalOp::kNone, {}}, kShare2});
     co_await rig.sched.WriteShared(0, kSize, std::move(manifest));
   };
   sim::Detach(t());
@@ -618,8 +623,10 @@ TEST(SchedulerTest, SharedWriteLandsCostOnManifestTags) {
   constexpr uint32_t kSize = 8 * 1024;
   auto t = [&]() -> sim::Task<void> {
     std::vector<IoShare> manifest;
-    manifest.push_back({{3, AppRequest::kPut, InternalOp::kNone}, kSize / 2});
-    manifest.push_back({{4, AppRequest::kPut, InternalOp::kFlush}, kSize / 2});
+    manifest.push_back(
+        {{3, AppRequest::kPut, InternalOp::kNone, {}}, kSize / 2});
+    manifest.push_back(
+        {{4, AppRequest::kPut, InternalOp::kFlush, {}}, kSize / 2});
     co_await rig.sched.WriteShared(0, kSize, std::move(manifest));
   };
   sim::Detach(t());

@@ -79,7 +79,8 @@ TEST(SchedulerTraceTest, UntracedIoEmitsNoSpan) {
   Rig rig;
   rig.sched.SetAllocation(0, 1000.0);
   auto t = [&]() -> sim::Task<void> {
-    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone}, 0, 4096);
+    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone, {}}, 0,
+                            4096);
   };
   sim::Detach(t());
   rig.loop.Run();
@@ -202,7 +203,8 @@ TEST(SchedulerTraceTest, HasDemandReflectsQueuedWork) {
   EXPECT_FALSE(rig.sched.HasDemand(0));
   bool checked = false;
   auto t = [&]() -> sim::Task<void> {
-    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone}, 0, 4096);
+    co_await rig.sched.Read({0, AppRequest::kGet, InternalOp::kNone, {}}, 0,
+                            4096);
   };
   sim::Detach(t());
   rig.loop.ScheduleAt(1, [&] {

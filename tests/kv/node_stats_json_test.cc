@@ -343,7 +343,6 @@ TEST(NodeStatsJsonTest, BatchingSectionsEmitted) {
   opt.lsm_options.write_buffer_bytes = 256 * 1024;
   opt.lsm_options.max_bytes_level1 = 1 * kMiB;
   opt.lsm_options.wal_group_commit = true;
-  opt.lsm_options.table_cache_bytes = 64 * kKiB;
   opt.enable_read_coalescing = true;
   opt.enable_cache = true;
   opt.cache_bytes = 4 * 1024;  // tiny: early keys age out of the object cache
@@ -363,7 +362,7 @@ TEST(NodeStatsJsonTest, BatchingSectionsEmitted) {
     sim::Detach(writer(i));
   }
   loop.Run();
-  // ...then enough data to flush tables and exercise the table cache.
+  // ...then enough data to flush tables and exercise the index cache.
   auto fill = [&]() -> sim::Task<void> {
     for (int i = 16; i < 300; ++i) {
       co_await node.Put(1, key(i), std::string(1024, 'v'));
@@ -412,12 +411,14 @@ TEST(NodeStatsJsonTest, BatchingSectionsEmitted) {
   EXPECT_GT(wal->Find("batches")->number, 0.0);
   EXPECT_LT(wal->Find("batches")->number, 300.0);
   EXPECT_GE(wal->Find("max_batch_records")->number, 2.0);
-  const JsonValue* tc = t.Find("lsm")->Find("table_cache");
-  ASSERT_NE(tc, nullptr);
-  EXPECT_GE(tc->Find("misses")->number, 1.0);
-  EXPECT_GT(tc->Find("resident_bytes")->number, 0.0);
-  ASSERT_NE(tc->Find("hits"), nullptr);
-  ASSERT_NE(tc->Find("evictions"), nullptr);
+  // The default per-DB cache holds index blocks, never evicted.
+  const JsonValue* bc = t.Find("lsm")->Find("block_cache");
+  ASSERT_NE(bc, nullptr);
+  EXPECT_GE(bc->Find("index_misses")->number, 1.0);
+  EXPECT_GT(bc->Find("resident_bytes")->number, 0.0);
+  ASSERT_NE(bc->Find("index_hits"), nullptr);
+  EXPECT_EQ(bc->Find("evictions")->number, 0.0);
+  EXPECT_EQ(bc->Find("capacity_bytes")->number, 0.0);
 }
 
 TEST(NodeStatsJsonTest, FilteredCachedReadPathSectionsEmitted) {

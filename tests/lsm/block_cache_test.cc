@@ -121,11 +121,12 @@ TEST(BlockCacheTest, RefPinsBlockPastEviction) {
   EXPECT_EQ(ref->bytes, "pinned");  // the caller's view stays valid
 }
 
-TEST(BlockCacheTest, IndexOnlyModeReportsNoDataCaching) {
-  BlockCache full(0);
-  EXPECT_TRUE(full.caches_data());
-  BlockCache index_only(0, /*cache_data=*/false);
-  EXPECT_FALSE(index_only.caches_data());
+TEST(BlockCacheTest, OnlyABudgetCachesDataBlocks) {
+  // Unbudgeted: index and filter blocks only (it would otherwise keep every
+  // data block ever read).
+  EXPECT_FALSE(BlockCache(0).caches_data());
+  EXPECT_FALSE(BlockCache().caches_data());
+  EXPECT_TRUE(BlockCache(1).caches_data());
 }
 
 }  // namespace

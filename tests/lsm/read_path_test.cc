@@ -114,6 +114,37 @@ TEST(ReadPathTest, NegativeProbeCostsZeroDeviceReadsWhenFilterResident) {
   EXPECT_GT(db.stats().bloom_negatives, warm.bloom_negatives);
 }
 
+// The default configuration keeps every table's index in the DB's own
+// unbudgeted cache: index traffic is counted per tenant, each index miss
+// is exactly one device read, and no data block is cached or evicted.
+TEST(ReadPathTest, DefaultCacheCountsIndexTrafficAndCachesNoData) {
+  LsmRig rig;
+  LsmDb db(rig.loop, rig.fs, rig.sched, 1, "t1", SmallOptions());
+  ASSERT_TRUE(db.Open().ok());
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (int i = 0; i < 400; ++i) {
+      co_await db.Put(Key(i), std::string(512, 'v'));
+    }
+    co_await db.WaitIdle();
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int i = 0; i < 400; i += 13) {
+        auto r = co_await db.Get(Key(i));
+        EXPECT_TRUE(r.status.ok()) << i;
+      }
+    }
+  }());
+  const LsmStats s = db.stats();
+  ASSERT_GT(s.data_block_reads, 0u);
+  EXPECT_GT(s.bcache_index_misses, 0u);
+  EXPECT_GT(s.bcache_index_hits, 0u);
+  EXPECT_EQ(s.bcache_index_misses, s.index_block_reads);
+  EXPECT_GT(s.bcache_resident_bytes, 0u);
+  EXPECT_EQ(s.bcache_capacity_bytes, 0u);
+  EXPECT_EQ(s.bcache_data_hits + s.bcache_data_misses, 0u);
+  EXPECT_EQ(s.data_cache_hits, 0u);
+  EXPECT_EQ(s.bcache_evictions, 0u);
+}
+
 // Data-block cache hits cost zero device IO and zero VOPs; after eviction
 // the re-read is charged again — repricing, not free-riding.
 TEST(ReadPathTest, EvictionRereadIsRecharged) {

@@ -35,7 +35,8 @@ fs::FileId BuildTestTable(LsmRig& rig, int n, uint32_t value_size = 100) {
 TEST(SstableTest, BuildAndLookup) {
   LsmRig rig;
   const fs::FileId file = BuildTestTable(rig, 500);
-  SstableReader reader(rig.fs, file);
+  BlockCache cache;
+  SstableReader reader(rig.fs, file, cache);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await reader.Get(kGetTag, "key0000042", UINT64_MAX);
     EXPECT_TRUE(r.status.ok());
@@ -49,7 +50,8 @@ TEST(SstableTest, BuildAndLookup) {
 TEST(SstableTest, MissingKeyNotFound) {
   LsmRig rig;
   const fs::FileId file = BuildTestTable(rig, 100);
-  SstableReader reader(rig.fs, file);
+  BlockCache cache;
+  SstableReader reader(rig.fs, file, cache);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await reader.Get(kGetTag, "key0000xyz", UINT64_MAX);
     EXPECT_TRUE(r.status.ok());
@@ -85,7 +87,8 @@ TEST(SstableTest, TombstonesSurfaceAsDeleted) {
     builder.Add("key", 5, ValueType::kDelete, "");
     builder.Add("key", 2, ValueType::kPut, "old");
     co_await builder.Finish(kFlushTag);
-    SstableReader reader(rig.fs, file);
+    BlockCache cache;
+    SstableReader reader(rig.fs, file, cache);
     auto r = co_await reader.Get(kGetTag, "key", UINT64_MAX);
     EXPECT_TRUE(r.found);
     EXPECT_TRUE(r.deleted);
@@ -100,7 +103,8 @@ TEST(SstableTest, TombstonesSurfaceAsDeleted) {
 TEST(SstableTest, LookupCostsIndexPlusDataBlock) {
   LsmRig rig;
   const fs::FileId file = BuildTestTable(rig, 2000);  // many 4KB blocks
-  SstableReader reader(rig.fs, file);
+  BlockCache cache;
+  SstableReader reader(rig.fs, file, cache);
   const auto before = rig.sched.tracker().Stats(1);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await reader.Get(kGetTag, "key0001000", UINT64_MAX);
@@ -158,9 +162,9 @@ TEST(BlockCacheTest, ZeroCapacityIsUnbounded) {
 TEST(SstableTest, SharedCacheServesRepeatLookups) {
   LsmRig rig;
   const fs::FileId file = BuildTestTable(rig, 2000);
-  // Index-only mode — the deprecated table_cache_bytes configuration.
-  BlockCache cache(1 * kMiB, /*cache_data=*/false);
-  SstableReader reader(rig.fs, file, {}, &cache, /*table=*/1, /*tenant=*/1);
+  // The default, unbudgeted cache: index and filter blocks only.
+  BlockCache cache;
+  SstableReader reader(rig.fs, file, cache, {}, /*table=*/1, /*tenant=*/1);
   const auto before = rig.sched.tracker().Stats(1);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await reader.Get(kGetTag, "key0001000", UINT64_MAX);
@@ -196,11 +200,11 @@ TEST(SstableTest, EvictedIndexReloadIsRereadAndCharged) {
     }
     EXPECT_TRUE((co_await builder.Finish(kFlushTag)).ok());
   }());
-  // Capacity below a single index: every insert evicts the other table's
-  // entry (an insert never evicts itself, so the newest index is resident).
-  BlockCache cache(1, /*cache_data=*/false);
-  SstableReader ra(rig.fs, file_a, {}, &cache, /*table=*/1, /*tenant=*/1);
-  SstableReader rb(rig.fs, file_b, {}, &cache, /*table=*/2, /*tenant=*/1);
+  // Capacity below a single block: every insert evicts the older entries
+  // (an insert never evicts itself, so only the newest block is resident).
+  BlockCache cache(1);
+  SstableReader ra(rig.fs, file_a, cache, {}, /*table=*/1, /*tenant=*/1);
+  SstableReader rb(rig.fs, file_b, cache, {}, /*table=*/2, /*tenant=*/1);
   rig.RunTask([&]() -> sim::Task<void> {
     auto r = co_await ra.Get(kGetTag, "key0001000", UINT64_MAX);
     EXPECT_TRUE(r.found);
@@ -222,7 +226,8 @@ TEST(SstableTest, EvictedIndexReloadIsRereadAndCharged) {
 TEST(SstableTest, ScanAllYieldsEverythingInOrder) {
   LsmRig rig;
   const fs::FileId file = BuildTestTable(rig, 777);
-  SstableReader reader(rig.fs, file);
+  BlockCache cache;
+  SstableReader reader(rig.fs, file, cache);
   std::vector<std::string> keys;
   rig.RunTask([&]() -> sim::Task<void> {
     EXPECT_TRUE((co_await reader.ScanAll(
@@ -244,7 +249,8 @@ TEST(SstableTest, LargeValuesSpanBlocks) {
     builder.Add("big0", 1, ValueType::kPut, big);
     builder.Add("big1", 2, ValueType::kPut, big);
     co_await builder.Finish(kFlushTag);
-    SstableReader reader(rig.fs, file);
+    BlockCache cache;
+    SstableReader reader(rig.fs, file, cache);
     auto r = co_await reader.Get(kGetTag, "big1", UINT64_MAX);
     EXPECT_TRUE(r.found);
     if (r.found) {
@@ -259,7 +265,8 @@ TEST(SstableTest, EmptyTableLookups) {
   rig.RunTask([&]() -> sim::Task<void> {
     SstableBuilder builder(rig.fs, file);
     co_await builder.Finish(kFlushTag);
-    SstableReader reader(rig.fs, file);
+    BlockCache cache;
+    SstableReader reader(rig.fs, file, cache);
     auto r = co_await reader.Get(kGetTag, "anything", UINT64_MAX);
     EXPECT_FALSE(r.found);
   }());
