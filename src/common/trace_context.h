@@ -25,7 +25,17 @@ struct TraceContext {
   uint64_t trace_id = 0;  // 0 = untraced
   uint64_t span_id = 0;
 
+  // An untraced context that also records "the root's 1-in-N draw already
+  // ran and sampled this request out", so a lower layer that would mint a
+  // root for an untraced caller does not draw a second time. valid() stays
+  // false: every layer still sees it as untraced.
+  static constexpr uint64_t kSampledOutSpan = ~uint64_t{0};
+  static TraceContext SampledOut() { return {0, kSampledOutSpan}; }
+
   bool valid() const { return trace_id != 0; }
+  bool sampled_out() const {
+    return trace_id == 0 && span_id == kSampledOutSpan;
+  }
 
   friend bool operator==(const TraceContext& a, const TraceContext& b) {
     return a.trace_id == b.trace_id && a.span_id == b.span_id;

@@ -61,9 +61,10 @@ Status ValidateReservation(const Reservation& r) {
 }
 
 // Mints the node-level request span: a child of the caller's (cluster)
-// span when one rode in, else a new root trace honoring 1/N sampling.
-// Returns an invalid ctx when tracing is off or the request sampled out —
-// every downstream layer then runs untraced.
+// span when one rode in, none when the caller's own draw sampled the
+// request out, else a new root trace honoring 1/N sampling. Returns an
+// invalid ctx when tracing is off or the request sampled out — every
+// downstream layer then runs untraced.
 struct RequestSpan {
   TraceContext ctx;
   uint64_t parent = 0;
@@ -77,7 +78,7 @@ RequestSpan BeginRequestSpan(obs::SpanCollector* spans, TraceContext caller) {
   if (caller.valid()) {
     r.ctx = spans->MintChild(caller);
     r.parent = caller.span_id;
-  } else {
+  } else if (!caller.sampled_out()) {
     r.ctx = spans->MintTrace();
   }
   return r;

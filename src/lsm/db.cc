@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -11,6 +10,42 @@ namespace libra::lsm {
 using iosched::AppRequest;
 using iosched::InternalOp;
 using iosched::IoTag;
+
+namespace {
+
+bool InternalOrder(const MemTable::Entry& a, const MemTable::Entry& b) {
+  return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
+}
+
+// Sorts by internal key and keeps only the newest version of each user key
+// (and no tombstone, if `drop_tombstones`).
+void MergeNewest(std::vector<MemTable::Entry>* entries, bool drop_tombstones) {
+  std::sort(entries->begin(), entries->end(), InternalOrder);
+  // Compacts in place. Compare against an explicit copy of the previous
+  // user key: its entry may have been moved from, and a dropped tombstone
+  // must still shadow the older versions behind it.
+  size_t kept = 0;
+  std::string last_user_key;
+  bool have_last = false;
+  for (size_t i = 0; i < entries->size(); ++i) {
+    MemTable::Entry& e = (*entries)[i];
+    if (have_last && e.key == last_user_key) {
+      continue;  // shadowed older version
+    }
+    last_user_key = e.key;
+    have_last = true;
+    if (drop_tombstones && e.type == ValueType::kDelete) {
+      continue;
+    }
+    if (kept != i) {
+      (*entries)[kept] = std::move(e);
+    }
+    ++kept;
+  }
+  entries->resize(kept);
+}
+
+}  // namespace
 
 LsmDb::LsmDb(sim::EventLoop& loop, fs::SimFs& fs,
              iosched::IoScheduler& scheduler, iosched::TenantId tenant,
@@ -246,12 +281,24 @@ sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
   // Overlapping levels probe every covering file newest-first: L0 under
   // leveled, every tier under size-tiered (runs only leave a tier by
   // whole-tier merges, so run recency orders version recency globally).
+  // A leveled L1+ level is sorted and disjoint: its one candidate is found
+  // by binary search, then probed like any other covering file.
   const int overlapping_levels =
       options_.compaction_policy == CompactionPolicy::kSizeTiered
           ? options_.num_levels
           : 1;
-  for (int level = 0; level < overlapping_levels; ++level) {
-    for (const TableRef& table : version->levels[level]) {
+  for (int level = 0; level < options_.num_levels; ++level) {
+    const std::vector<TableRef>& files = version->levels[level];
+    auto first = files.begin();
+    auto last = files.end();
+    if (level >= overlapping_levels) {
+      first = std::lower_bound(
+          files.begin(), files.end(), key,
+          [](const TableRef& t, std::string_view k) { return t->largest < k; });
+      last = first == files.end() ? first : first + 1;
+    }
+    for (auto it = first; it != last; ++it) {
+      const TableRef& table = *it;
       if (key < table->smallest || key > table->largest) {
         continue;
       }
@@ -276,34 +323,6 @@ sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
       }
     }
   }
-  // Leveled L1+: at most one file per level.
-  for (int level = overlapping_levels; level < options_.num_levels; ++level) {
-    const auto& files = version->levels[level];
-    const auto it = std::lower_bound(
-        files.begin(), files.end(), key,
-        [](const TableRef& t, std::string_view k) { return t->largest < k; });
-    if (it == files.end() || key < (*it)->smallest) {
-      continue;
-    }
-    ++tables_probed_;
-    SstableReader::GetResult r = co_await (*it)->reader->Get(tag, key, snapshot);
-    if (dead_) {
-      out.status = Status::Unavailable("db killed");
-      co_return out;
-    }
-    if (!r.status.ok()) {
-      out.status = r.status;
-      co_return out;
-    }
-    if (r.found) {
-      if (r.deleted) {
-        out.status = Status::NotFound("deleted");
-      } else {
-        out.value = std::move(r.value);
-      }
-      co_return out;
-    }
-  }
   out.status = Status::NotFound("no entry");
   co_return out;
 }
@@ -324,26 +343,8 @@ sim::Task<LsmDb::ScanResult> LsmDb::Scan(std::string_view start,
   // Pin one consistent cut before any suspension: the version snapshot
   // plus the memtables' in-range entries (no IO).
   const VersionRef base = current_;
-  std::vector<MemTable::Entry> mem_entries;
-  for (const MemTable* mt : {mem_.get(), imm_.get()}) {
-    if (mt == nullptr) {
-      continue;
-    }
-    MemTable::Iterator it(mt);
-    for (it.SeekToFirst(); it.Valid(); it.Next()) {
-      const MemTable::Entry& e = it.entry();
-      if (e.key < start || (!end.empty() && e.key >= end) ||
-          e.seq > snapshot) {
-        continue;
-      }
-      mem_entries.push_back(e);
-    }
-  }
-  // The two memtables interleave: restore internal order across them.
-  std::sort(mem_entries.begin(), mem_entries.end(),
-            [](const MemTable::Entry& a, const MemTable::Entry& b) {
-              return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
-            });
+  const std::vector<MemTable::Entry> mem_entries =
+      PinMemtables(start, end, snapshot);
 
   // One streaming cursor per table whose range overlaps [start, end); the
   // TableRef pins the file for the cursor's lifetime. Applies uniformly to
@@ -447,6 +448,29 @@ sim::Task<LsmDb::ScanResult> LsmDb::Scan(std::string_view start,
   co_return out;
 }
 
+std::vector<MemTable::Entry> LsmDb::PinMemtables(std::string_view start,
+                                                 std::string_view end,
+                                                 SequenceNumber snapshot) const {
+  std::vector<MemTable::Entry> entries;
+  for (const MemTable* mt : {mem_.get(), imm_.get()}) {
+    if (mt == nullptr) {
+      continue;
+    }
+    MemTable::Iterator it(mt);
+    for (it.SeekToFirst(); it.Valid(); it.Next()) {
+      const MemTable::Entry& e = it.entry();
+      if (e.key < start || (!end.empty() && e.key >= end) ||
+          e.seq > snapshot) {
+        continue;
+      }
+      entries.push_back(e);
+    }
+  }
+  // The two memtables interleave: restore internal order across them.
+  std::sort(entries.begin(), entries.end(), InternalOrder);
+  return entries;
+}
+
 sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
     const std::vector<MemTable::Entry>& entries, size_t begin, size_t end,
     const iosched::IoTag& tag) {
@@ -516,29 +540,13 @@ sim::Task<void> LsmDb::FlushJob() {
         built_bytes = (*built)->size_bytes;
         (*built)->lineage = tag.ctx;
         (*built)->origin_links = origins;
-        // Install: newest L0 file goes to the front.
-        auto next = std::make_shared<Version>(*current_);
-        next->levels[0].insert(next->levels[0].begin(), *built);
-        current_ = next;
+        Install({}, {*built}, 0, /*front_insert=*/true);  // newest L0 first
       }
     }
     ++flushes_;
     flush_ns_ += static_cast<uint64_t>(loop_.Now() - flush_start);
-    if (spans != nullptr) {
-      obs::SpanRecord rec;
-      rec.trace_id = tag.ctx.trace_id;
-      rec.span_id = tag.ctx.span_id;
-      rec.kind = obs::SpanKind::kFlush;
-      rec.app = static_cast<uint8_t>(AppRequest::kPut);
-      rec.internal = static_cast<uint8_t>(InternalOp::kFlush);
-      rec.is_write = 1;
-      rec.tenant = tenant_;
-      rec.start_ns = flush_start;
-      rec.end_ns = loop_.Now();
-      rec.bytes = built_bytes;
-      rec.links = origins;
-      spans->Record(rec);
-    }
+    RecordBackgroundSpan(InternalOp::kFlush, tag.ctx, 0, flush_start,
+                         built_bytes, origins);
     scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kFlush);
     imm_.reset();
     if (imm_wal_ != nullptr) {
@@ -624,11 +632,11 @@ sim::Task<void> LsmDb::CompactionJob() {
     if (level < 0) {
       break;
     }
-    if (options_.compaction_policy == CompactionPolicy::kSizeTiered) {
-      co_await CompactTier(level);
-    } else {
-      co_await CompactLevel(level);
-    }
+    const CompactionPlan plan =
+        options_.compaction_policy == CompactionPolicy::kSizeTiered
+            ? PickTieredPlan(level)
+            : PickLeveledPlan(level);
+    co_await RunCompaction(plan);
   }
   compaction_running_ = false;
 }
@@ -638,45 +646,72 @@ bool LsmDb::RangesOverlap(const TableHandle& t, std::string_view lo,
   return !(t.largest < lo || hi < t.smallest);
 }
 
-sim::Task<Status> LsmDb::CompactLevel(int level) {
+LsmDb::CompactionPlan LsmDb::PickLeveledPlan(int level) {
+  CompactionPlan plan;
+  plan.out_level = level + 1;
+  plan.drop_tombstones = plan.out_level == options_.num_levels - 1;
+  plan.max_output_bytes = options_.target_file_bytes;
+  const Version& base = *current_;
+  if (level == 0) {
+    // All of L0 (their ranges overlap each other anyway).
+    plan.inputs = base.levels[0];
+  } else if (!base.levels[level].empty()) {
+    // One file, round-robin across the level.
+    const std::vector<TableRef>& files = base.levels[level];
+    size_t& cursor = compact_cursor_[level];
+    cursor %= files.size();
+    plan.inputs.push_back(files[cursor]);
+    cursor = (cursor + 1) % files.size();
+  }
+  if (plan.inputs.empty()) {
+    return plan;
+  }
+  // The picked range starts from the first input: "" is a valid key.
+  std::string lo = plan.inputs.front()->smallest;
+  std::string hi = plan.inputs.front()->largest;
+  for (const TableRef& t : plan.inputs) {
+    if (t->smallest < lo) {
+      lo = t->smallest;
+    }
+    if (hi < t->largest) {
+      hi = t->largest;
+    }
+  }
+  for (const TableRef& t : base.levels[plan.out_level]) {
+    if (RangesOverlap(*t, lo, hi)) {
+      plan.inputs.push_back(t);
+    }
+  }
+  return plan;
+}
+
+LsmDb::CompactionPlan LsmDb::PickTieredPlan(int tier) const {
+  CompactionPlan plan;
+  // The bottom tier has nowhere deeper to push: it merges in place, which
+  // is also the only point tombstones may die (no older version of any key
+  // can exist below the merge's inputs).
+  plan.drop_tombstones = tier == options_.num_levels - 1;
+  plan.out_level = plan.drop_tombstones ? tier : tier + 1;
+  // One output run per merge, front-inserted: a run is a single file here,
+  // so the newest-first invariant stays "highest number first".
+  plan.front_insert = true;
+  // Taking every run is what keeps recency tier-ordered (all of tier k
+  // stays newer than all of tier k+1), which GET's newest-first probe
+  // relies on. A single run never merges (nothing to reclaim).
+  if (current_->levels[tier].size() >= 2) {
+    plan.inputs = current_->levels[tier];
+  }
+  return plan;
+}
+
+sim::Task<Status> LsmDb::RunCompaction(const CompactionPlan& plan) {
   IoTag tag{tenant_, AppRequest::kPut, InternalOp::kCompact, {}};
   const SimTime compact_start = loop_.Now();
   scheduler_.tracker().RecordTrigger(tenant_, AppRequest::kPut,
                                      InternalOp::kCompact);
-  const int out_level = level + 1;
-  const bool bottom = out_level == options_.num_levels - 1;
-
-  // Select inputs from the current version.
-  const VersionRef base = current_;
-  std::vector<TableRef> inputs;
-  std::string lo;
-  std::string hi;
-  if (level == 0) {
-    // All of L0 (their ranges overlap each other anyway).
-    inputs = base->levels[0];
-  } else {
-    const auto& files = base->levels[level];
-    if (files.empty()) {
-      scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-      co_return Status::Ok();
-    }
-    compact_cursor_[level] %= files.size();
-    inputs.push_back(files[compact_cursor_[level]]);
-    compact_cursor_[level] = (compact_cursor_[level] + 1) % std::max<size_t>(files.size(), 1);
-  }
-  for (const TableRef& t : inputs) {
-    if (lo.empty() || t->smallest < lo) {
-      lo = t->smallest;
-    }
-    if (hi.empty() || hi < t->largest) {
-      hi = t->largest;
-    }
-  }
-  std::vector<TableRef> overlap;
-  for (const TableRef& t : base->levels[out_level]) {
-    if (RangesOverlap(*t, lo, hi)) {
-      overlap.push_back(t);
-    }
+  if (plan.inputs.empty()) {
+    scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
+    co_return Status::Ok();
   }
 
   // Trace: the compaction span parents under the first input table's
@@ -689,74 +724,46 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
   obs::SpanLinkSet origins;
   TraceContext compact_parent;
   if (spans != nullptr) {
-    for (const std::vector<TableRef>* group : {&inputs, &overlap}) {
-      for (const TableRef& t : *group) {
-        if (!compact_parent.valid()) {
-          compact_parent = t->lineage;
-        } else {
-          fan_in.Add(t->lineage);
-        }
-        origins.Merge(t->origin_links);
+    for (const TableRef& t : plan.inputs) {
+      if (!compact_parent.valid()) {
+        compact_parent = t->lineage;
+      } else {
+        fan_in.Add(t->lineage);
       }
+      origins.Merge(t->origin_links);
     }
     tag.ctx = compact_parent.valid() ? spans->MintChild(compact_parent)
                                      : spans->MintAlways();
   }
 
-  // Merge: read everything (sequential COMPACT reads), sort by internal
-  // key, keep only the newest version of each user key.
-  std::vector<MemTable::Entry> entries;
-  auto collect = [&entries](const Record& rec) {
-    entries.push_back(MemTable::Entry{std::string(rec.key),
-                                      std::string(rec.value), rec.seq,
-                                      rec.type, {}});
-  };
-  for (const std::vector<TableRef>* group : {&inputs, &overlap}) {
-    for (const TableRef& t : *group) {
-      Status s = co_await t->reader->ScanAll(tag, collect);
-      if (dead_) {
-        co_return Status::Unavailable("db killed");
-      }
-      if (!s.ok()) {
-        scheduler_.tracker().RecordInternalOpDone(tenant_,
-                                                  InternalOp::kCompact);
-        co_return s;
-      }
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const MemTable::Entry& a, const MemTable::Entry& b) {
-              return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
-            });
+  // Merge: read every input (sequential COMPACT reads); the newest version
+  // of each user key wins.
   std::vector<MemTable::Entry> merged;
-  merged.reserve(entries.size());
-  std::string last_user_key;
-  bool have_last = false;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    // Compare against an explicit copy of the previous user key —
-    // entries[i-1] may have been moved into `merged` (hollow string), and
-    // at the bottom level a dropped tombstone must still shadow the older
-    // versions behind it.
-    if (have_last && entries[i].key == last_user_key) {
-      continue;  // shadowed older version
+  auto collect = [&merged](const Record& rec) {
+    merged.push_back(MemTable::Entry{std::string(rec.key),
+                                     std::string(rec.value), rec.seq,
+                                     rec.type, {}});
+  };
+  for (const TableRef& t : plan.inputs) {
+    Status s = co_await t->reader->ScanAll(tag, collect);
+    if (dead_) {
+      co_return Status::Unavailable("db killed");
     }
-    last_user_key = entries[i].key;
-    have_last = true;
-    if (bottom && entries[i].type == ValueType::kDelete) {
-      continue;  // tombstones die at the bottom level
+    if (!s.ok()) {
+      scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
+      co_return s;
     }
-    merged.push_back(std::move(entries[i]));
   }
+  MergeNewest(&merged, plan.drop_tombstones);
 
-  // Write outputs split at the target file size.
+  // Write outputs split at the plan's output size.
   std::vector<TableRef> outputs;
   size_t begin = 0;
   uint64_t bytes = 0;
   for (size_t i = 0; i <= merged.size(); ++i) {
     const bool flush_now =
-        i == merged.size()
-            ? i > begin
-            : bytes >= options_.target_file_bytes && i > begin;
+        i == merged.size() ? i > begin
+                           : bytes >= plan.max_output_bytes && i > begin;
     if (flush_now) {
       auto built = co_await BuildTable(merged, begin, i, tag);
       if (dead_) {
@@ -778,186 +785,9 @@ sim::Task<Status> LsmDb::CompactLevel(int level) {
     }
   }
 
-  // Install: drop inputs, add outputs, from the *latest* version (flushes
-  // may have prepended newer L0 files meanwhile; they are preserved).
-  auto is_input = [&](const TableRef& t) {
-    for (const std::vector<TableRef>* group : {&inputs, &overlap}) {
-      for (const TableRef& in : *group) {
-        if (in == t) {
-          return true;
-        }
-      }
-    }
-    return false;
-  };
-  auto next = std::make_shared<Version>(*current_);
-  for (auto& files : next->levels) {
-    files.erase(std::remove_if(files.begin(), files.end(), is_input),
-                files.end());
-  }
-  auto& out_files = next->levels[out_level];
-  out_files.insert(out_files.end(), outputs.begin(), outputs.end());
-  std::sort(out_files.begin(), out_files.end(),
-            [](const TableRef& a, const TableRef& b) {
-              return a->smallest < b->smallest;
-            });
-  if (const char* dbg = getenv("LSM_DEBUG"); dbg != nullptr) {
-    std::printf("compact L%d->L%d inputs:", level, out_level);
-    for (const auto& t : inputs) std::printf(" #%llu[%s,%s]", (unsigned long long)t->number, t->smallest.c_str(), t->largest.c_str());
-    std::printf(" overlap:");
-    for (const auto& t : overlap) std::printf(" #%llu[%s,%s]", (unsigned long long)t->number, t->smallest.c_str(), t->largest.c_str());
-    std::printf(" outputs:");
-    for (const auto& t : outputs) std::printf(" #%llu[%s,%s]", (unsigned long long)t->number, t->smallest.c_str(), t->largest.c_str());
-    std::printf("\n");
-  }
-  current_ = next;
+  Install(plan.inputs, outputs, plan.out_level, plan.front_insert);
   ++compactions_;
-  for (const std::vector<TableRef>* group : {&inputs, &overlap}) {
-    for (const TableRef& t : *group) {
-      compact_bytes_read_ += t->size_bytes;
-    }
-  }
-  uint64_t output_bytes = 0;
-  for (const TableRef& t : outputs) {
-    output_bytes += t->size_bytes;
-  }
-  compact_bytes_written_ += output_bytes;
-  compact_ns_ += static_cast<uint64_t>(loop_.Now() - compact_start);
-  if (spans != nullptr) {
-    obs::SpanRecord rec;
-    rec.trace_id = tag.ctx.trace_id;
-    rec.span_id = tag.ctx.span_id;
-    rec.parent_span = compact_parent.span_id;
-    rec.kind = obs::SpanKind::kCompact;
-    rec.app = static_cast<uint8_t>(AppRequest::kPut);
-    rec.internal = static_cast<uint8_t>(InternalOp::kCompact);
-    rec.is_write = 1;
-    rec.tenant = tenant_;
-    rec.start_ns = compact_start;
-    rec.end_ns = loop_.Now();
-    rec.bytes = output_bytes;
-    rec.links = fan_in;
-    rec.links.Merge(origins);
-    spans->Record(rec);
-  }
-  scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-  stall_cv_.NotifyAll();  // L0 pressure may have cleared
-  co_return Status::Ok();
-}
-
-sim::Task<Status> LsmDb::CompactTier(int tier) {
-  IoTag tag{tenant_, AppRequest::kPut, InternalOp::kCompact, {}};
-  const SimTime compact_start = loop_.Now();
-  scheduler_.tracker().RecordTrigger(tenant_, AppRequest::kPut,
-                                     InternalOp::kCompact);
-  // The bottom tier has nowhere deeper to push: it merges in place, which
-  // is also the only point tombstones may die (no older version of any key
-  // can exist below the merge's inputs).
-  const bool bottom_self = tier == options_.num_levels - 1;
-  const int out_level = bottom_self ? tier : tier + 1;
-
-  // Inputs: the whole tier, pinned from the current version. Taking every
-  // run is what keeps recency tier-ordered (all of tier k stays newer than
-  // all of tier k+1), which GET's newest-first probe relies on.
-  const VersionRef base = current_;
-  std::vector<TableRef> inputs = base->levels[tier];
-  if (inputs.size() < 2) {
-    scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-    co_return Status::Ok();
-  }
-
-  // Trace: same fan-in linkage as leveled compaction — parent under the
-  // first input's lineage, link the rest plus sampled request origins.
-  obs::SpanCollector* spans = scheduler_.spans();
-  obs::SpanLinkSet fan_in;
-  obs::SpanLinkSet origins;
-  TraceContext compact_parent;
-  if (spans != nullptr) {
-    for (const TableRef& t : inputs) {
-      if (!compact_parent.valid()) {
-        compact_parent = t->lineage;
-      } else {
-        fan_in.Add(t->lineage);
-      }
-      origins.Merge(t->origin_links);
-    }
-    tag.ctx = compact_parent.valid() ? spans->MintChild(compact_parent)
-                                     : spans->MintAlways();
-  }
-
-  // Merge: sequential reads of every run, newest version of each key wins.
-  std::vector<MemTable::Entry> entries;
-  auto collect = [&entries](const Record& rec) {
-    entries.push_back(MemTable::Entry{std::string(rec.key),
-                                      std::string(rec.value), rec.seq,
-                                      rec.type, {}});
-  };
-  for (const TableRef& t : inputs) {
-    Status s = co_await t->reader->ScanAll(tag, collect);
-    if (dead_) {
-      co_return Status::Unavailable("db killed");
-    }
-    if (!s.ok()) {
-      scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-      co_return s;
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const MemTable::Entry& a, const MemTable::Entry& b) {
-              return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
-            });
-  std::vector<MemTable::Entry> merged;
-  merged.reserve(entries.size());
-  std::string last_user_key;
-  bool have_last = false;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (have_last && entries[i].key == last_user_key) {
-      continue;  // shadowed older version
-    }
-    last_user_key = entries[i].key;
-    have_last = true;
-    if (bottom_self && entries[i].type == ValueType::kDelete) {
-      continue;  // nothing deeper left to shadow
-    }
-    merged.push_back(std::move(entries[i]));
-  }
-
-  // One output run per merge — a run is a single file here, so the
-  // newest-first invariant stays "front-inserted, highest number first".
-  std::vector<TableRef> outputs;
-  if (!merged.empty()) {
-    auto built = co_await BuildTable(merged, 0, merged.size(), tag);
-    if (dead_) {
-      co_return Status::Unavailable("db killed");  // output dtor-reclaimed
-    }
-    if (!built.ok()) {
-      scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-      co_return built.status();
-    }
-    (*built)->lineage = tag.ctx;
-    (*built)->origin_links = origins;
-    outputs.push_back(*built);
-  }
-
-  // Install against the *latest* version: flushes may have front-inserted
-  // newer tier-0 runs meanwhile; they are preserved.
-  auto is_input = [&](const TableRef& t) {
-    for (const TableRef& in : inputs) {
-      if (in == t) {
-        return true;
-      }
-    }
-    return false;
-  };
-  auto next = std::make_shared<Version>(*current_);
-  auto& in_files = next->levels[tier];
-  in_files.erase(std::remove_if(in_files.begin(), in_files.end(), is_input),
-                 in_files.end());
-  auto& out_files = next->levels[out_level];
-  out_files.insert(out_files.begin(), outputs.begin(), outputs.end());
-  current_ = next;
-  ++compactions_;
-  for (const TableRef& t : inputs) {
+  for (const TableRef& t : plan.inputs) {
     compact_bytes_read_ += t->size_bytes;
   }
   uint64_t output_bytes = 0;
@@ -966,26 +796,63 @@ sim::Task<Status> LsmDb::CompactTier(int tier) {
   }
   compact_bytes_written_ += output_bytes;
   compact_ns_ += static_cast<uint64_t>(loop_.Now() - compact_start);
-  if (spans != nullptr) {
-    obs::SpanRecord rec;
-    rec.trace_id = tag.ctx.trace_id;
-    rec.span_id = tag.ctx.span_id;
-    rec.parent_span = compact_parent.span_id;
-    rec.kind = obs::SpanKind::kCompact;
-    rec.app = static_cast<uint8_t>(AppRequest::kPut);
-    rec.internal = static_cast<uint8_t>(InternalOp::kCompact);
-    rec.is_write = 1;
-    rec.tenant = tenant_;
-    rec.start_ns = compact_start;
-    rec.end_ns = loop_.Now();
-    rec.bytes = output_bytes;
-    rec.links = fan_in;
-    rec.links.Merge(origins);
-    spans->Record(rec);
-  }
+  fan_in.Merge(origins);
+  RecordBackgroundSpan(InternalOp::kCompact, tag.ctx, compact_parent.span_id,
+                       compact_start, output_bytes, fan_in);
   scheduler_.tracker().RecordInternalOpDone(tenant_, InternalOp::kCompact);
-  stall_cv_.NotifyAll();  // tier-0 pressure may have cleared
+  stall_cv_.NotifyAll();  // L0 / tier-0 pressure may have cleared
   co_return Status::Ok();
+}
+
+void LsmDb::Install(const std::vector<TableRef>& inputs,
+                    const std::vector<TableRef>& outputs, int level,
+                    bool front_insert) {
+  // Edits the *latest* version: flushes may have front-inserted newer L0
+  // files while a compaction ran; they are preserved.
+  auto next = std::make_shared<Version>(*current_);
+  auto is_input = [&inputs](const TableRef& t) {
+    return std::find(inputs.begin(), inputs.end(), t) != inputs.end();
+  };
+  for (std::vector<TableRef>& files : next->levels) {
+    files.erase(std::remove_if(files.begin(), files.end(), is_input),
+                files.end());
+  }
+  std::vector<TableRef>& files = next->levels[level];
+  if (front_insert) {
+    files.insert(files.begin(), outputs.begin(), outputs.end());
+  } else {
+    files.insert(files.end(), outputs.begin(), outputs.end());
+    std::sort(files.begin(), files.end(),
+              [](const TableRef& a, const TableRef& b) {
+                return a->smallest < b->smallest;
+              });
+  }
+  current_ = std::move(next);
+}
+
+void LsmDb::RecordBackgroundSpan(InternalOp op, TraceContext ctx,
+                                 uint64_t parent_span, SimTime start,
+                                 uint64_t bytes,
+                                 const obs::SpanLinkSet& links) {
+  obs::SpanCollector* spans = scheduler_.spans();
+  if (spans == nullptr) {
+    return;
+  }
+  obs::SpanRecord rec;
+  rec.trace_id = ctx.trace_id;
+  rec.span_id = ctx.span_id;
+  rec.parent_span = parent_span;
+  rec.kind = op == InternalOp::kFlush ? obs::SpanKind::kFlush
+                                      : obs::SpanKind::kCompact;
+  rec.app = static_cast<uint8_t>(AppRequest::kPut);
+  rec.internal = static_cast<uint8_t>(op);
+  rec.is_write = 1;
+  rec.tenant = tenant_;
+  rec.start_ns = start;
+  rec.end_ns = loop_.Now();
+  rec.bytes = bytes;
+  rec.links = links;
+  spans->Record(rec);
 }
 
 sim::Task<void> LsmDb::WaitIdle() {
@@ -1015,16 +882,7 @@ sim::Task<Status> LsmDb::ScanLive(
   // Pin the version and the memtables' contents before any suspension: the
   // merge below must see one consistent cut of the tree.
   const VersionRef base = current_;
-  std::vector<MemTable::Entry> entries;
-  for (const MemTable* mt : {mem_.get(), imm_.get()}) {
-    if (mt == nullptr) {
-      continue;
-    }
-    MemTable::Iterator it(mt);
-    for (it.SeekToFirst(); it.Valid(); it.Next()) {
-      entries.push_back(it.entry());
-    }
-  }
+  std::vector<MemTable::Entry> entries = PinMemtables("", "", snapshot);
   auto collect = [&entries, snapshot](const Record& rec) {
     if (rec.seq <= snapshot) {
       entries.push_back(MemTable::Entry{std::string(rec.key),
@@ -1043,21 +901,8 @@ sim::Task<Status> LsmDb::ScanLive(
       }
     }
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const MemTable::Entry& a, const MemTable::Entry& b) {
-              return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
-            });
-  std::string last_user_key;
-  bool have_last = false;
+  MergeNewest(&entries, /*drop_tombstones=*/true);  // dead keys are not live
   for (const MemTable::Entry& e : entries) {
-    if (have_last && e.key == last_user_key) {
-      continue;  // shadowed older version
-    }
-    last_user_key = e.key;
-    have_last = true;
-    if (e.type == ValueType::kDelete) {
-      continue;  // dead key
-    }
     fn(e.key, e.value);
   }
   co_return Status::Ok();

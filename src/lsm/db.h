@@ -14,9 +14,16 @@
 // churn widens the eligible file set, reproducing the paper's GET-cost
 // amplification (Fig. 2, Fig. 12).
 //
+// Background work has one path per mechanism. A compaction policy only
+// picks: PickLeveledPlan / PickTieredPlan turn the level PickCompactionLevel
+// chose into a CompactionPlan, and RunCompaction carries out every plan
+// with one merge (MergeNewest, shared with ScanLive), one version edit
+// (Install, shared with the flush) and one span recorder.
+//
 // Versions are immutable snapshots of the level structure; tables are
 // refcounted and their physical files are deleted when the last version
-// referencing them dies (readers mid-lookup keep them alive).
+// referencing them dies (readers mid-lookup keep them alive). Install is
+// the only code that replaces the current version after construction.
 //
 // Deviation from LevelDB: no manifest — recovery replays the WAL only
 // (table metadata lives in memory for the process lifetime; see DESIGN.md).
@@ -286,10 +293,39 @@ class LsmDb {
   void MaybeStartCompaction();
   // Level most in need of compaction; returns -1 when all scores < 1.
   int PickCompactionLevel() const;
-  sim::Task<Status> CompactLevel(int level);
-  // Size-tiered: merges every run of `tier` into one run front-inserted
+
+  // One compaction as its policy picked it. Both policies run the same
+  // merge; they differ only in which tables it reads and where the
+  // outputs go.
+  struct CompactionPlan {
+    // Read order: the picked level's tables, then (leveled) the output
+    // level's tables overlapping them. Empty: nothing to merge.
+    std::vector<TableRef> inputs;
+    int out_level = 0;
+    bool drop_tombstones = false;  // no older version can exist below
+    uint64_t max_output_bytes = UINT64_MAX;  // output split size
+    // Outputs go to the front of out_level (newest run first) instead of
+    // into key order among its files.
+    bool front_insert = false;
+  };
+  // Leveled: one file of `level` (all of L0) plus the files of level+1
+  // that overlap its key range; outputs split at target_file_bytes.
+  CompactionPlan PickLeveledPlan(int level);
+  // Size-tiered: every run of `tier` merges into one run front-inserted
   // into the next tier (the bottom tier merges in place).
-  sim::Task<Status> CompactTier(int tier);
+  CompactionPlan PickTieredPlan(int tier) const;
+  // Reads, merges, builds, installs and records one plan.
+  sim::Task<Status> RunCompaction(const CompactionPlan& plan);
+  // The only edit of current_ after construction (flush and compaction):
+  // removes `inputs` from every level of the latest version, then places
+  // `outputs` in `level`.
+  void Install(const std::vector<TableRef>& inputs,
+               const std::vector<TableRef>& outputs, int level,
+               bool front_insert);
+  // Records a FLUSH or COMPACT span when span collection is on.
+  void RecordBackgroundSpan(iosched::InternalOp op, TraceContext ctx,
+                            uint64_t parent_span, SimTime start,
+                            uint64_t bytes, const obs::SpanLinkSet& links);
 
   // --- helpers ---
   std::string TableName(uint64_t number) const;
@@ -298,6 +334,11 @@ class LsmDb {
   uint64_t MaxBytesForLevel(int level) const;
   static bool RangesOverlap(const TableHandle& t, std::string_view lo,
                             std::string_view hi);
+  // Copies the memtables' entries in [start, end) (an empty `end` is
+  // unbounded) visible at `snapshot`, in internal-key order.
+  std::vector<MemTable::Entry> PinMemtables(std::string_view start,
+                                            std::string_view end,
+                                            SequenceNumber snapshot) const;
   // Builds one output table from sorted records [begin, end).
   sim::Task<StatusOr<TableRef>> BuildTable(
       const std::vector<MemTable::Entry>& entries, size_t begin, size_t end,

@@ -206,7 +206,7 @@ TraceContext SpanCollector::MintTrace() {
   const uint64_t call = mint_calls_++;
   if (call % sample_every_ != 0) {
     ++sampled_out_;
-    return {};
+    return TraceContext::SampledOut();
   }
   ++minted_;
   const uint64_t id = NextId();

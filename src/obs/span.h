@@ -98,8 +98,9 @@ class SpanCollector {
                          uint64_t id_seed = 0);
 
   // Mints a root context for a new application request, honoring the 1/N
-  // sampling rate: unsampled requests get an invalid context and flow
-  // through every layer untraced at the cost of one branch each.
+  // sampling rate: unsampled requests get TraceContext::SampledOut() (not
+  // valid()) and flow through every layer untraced at the cost of one
+  // branch each; no later layer draws for them again.
   TraceContext MintTrace();
 
   // Mints a root context unconditionally (background ops — flush,

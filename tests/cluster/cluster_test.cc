@@ -7,6 +7,7 @@
 
 #include "src/cluster/global_provisioner.h"
 #include "src/obs/json.h"
+#include "src/obs/span.h"
 #include "src/sim/sync.h"
 #include "src/workload/workload.h"
 
@@ -461,6 +462,39 @@ TEST(ClusterTest, CompactionPolicyPlumbsToEveryNodeAndSnapshot) {
   EXPECT_EQ(tenants->array[0].Find("compaction")->string_value, "tiered");
   EXPECT_EQ(tenants->array[1].Find("compaction")->string_value, "leveled");
   ASSERT_NE(tenants->array[0].Find("global_scan_rps"), nullptr);
+}
+
+// A request the client's 1-in-N draw sampled out stays untraced at the
+// node. On the serial engine the node shares the client's collector, so a
+// second draw there would come from the same counter and trace every
+// request as a node root with no client span.
+TEST(ClusterTest, SampledOutRequestIsNotRedrawnAtTheNode) {
+  ClusterOptions opt = TestOptions(1);
+  opt.node_options.scheduler_options.span_capacity = 1024;
+  opt.node_options.scheduler_options.span_sample_every = 2;
+  sim::EventLoop loop;
+  Cluster cl(loop, opt);
+  TenantHandle tenant = cl.AddTenant(1, GlobalReservation{}).value();
+  auto puts = [&]() -> sim::Task<void> {
+    for (int i = 0; i < 20; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      EXPECT_TRUE((co_await tenant.Put(key, "v")).ok());
+    }
+  };
+  sim::Detach(puts());
+  loop.Run();
+  const obs::SpanCollector* spans = cl.node(0).scheduler().spans();
+  ASSERT_NE(spans, nullptr);
+  EXPECT_EQ(spans->minted_traces(), 10u);
+  EXPECT_EQ(spans->sampled_out(), 10u);
+  int node_requests = 0;
+  for (const obs::SpanRecord& s : spans->Spans()) {
+    if (s.kind == obs::SpanKind::kRequest) {
+      ++node_requests;
+      EXPECT_NE(s.parent_span, 0u) << "node request span without a parent";
+    }
+  }
+  EXPECT_EQ(node_requests, 10);
 }
 
 TEST(ClusterTest, SnapshotCoversNodesTenantsAndRebalances) {

@@ -665,5 +665,167 @@ TEST(LsmDbTest, SizeTieredRandomizedAgainstReferenceMap) {
   EXPECT_EQ(db.DebugCheckInvariants(), "");
 }
 
+// --- compaction plans, merge and ScanLive ---
+
+// An input table whose smallest key is "" must still bound the leveled
+// compaction's key range: the L1 file holding [a,b] has to join the merge
+// of L0 files spanning ["",z], or the output overlaps it and "a" is lost.
+TEST(LsmDbTest, EmptyKeyLeveledCompactionKeepsL1Disjoint) {
+  LsmRig rig;
+  LsmOptions opt;
+  opt.write_buffer_bytes = 64 * 1024;
+  LsmDb db(rig.loop, rig.fs, rig.sched, 1, "t1", opt);
+  ASSERT_TRUE(db.Open().ok());
+  const std::string value(16 * 1024, 'v');
+  // Four 16 KiB puts fill the buffer: each group lands as one L0 table.
+  auto group = [&](const std::string& k1,
+                   const std::string& k2) -> sim::Task<void> {
+    for (const std::string* k : {&k1, &k2, &k1, &k2}) {
+      EXPECT_TRUE((co_await db.Put(*k, value)).ok());
+    }
+    co_await db.WaitIdle();
+  };
+  const std::string a = "a", b = "b", c = "c", z = "z", empty, m = "m";
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (int i = 0; i < 4; ++i) {
+      co_await group(a, b);  // the 4th flush compacts [a,b] into L1
+    }
+    for (int i = 0; i < 3; ++i) {
+      co_await group(c, z);
+    }
+    co_await group(empty, m);  // L0 inputs now span ["",z]
+    EXPECT_EQ(db.DebugCheckInvariants(), "");
+    for (const std::string key : {"", "a", "b", "c", "m", "z"}) {
+      auto r = co_await db.Get(key);
+      EXPECT_TRUE(r.status.ok()) << "key '" << key << "'";
+      EXPECT_TRUE(r.value == value) << "key '" << key << "'";
+    }
+  }());
+  EXPECT_GT(db.stats().compactions, 1u);
+}
+
+// Seeded puts, overwrites and deletes across several flushes and
+// compactions; returns the live reference contents.
+std::map<std::string, std::string> ChurnWithDeletes(LsmRig& rig, LsmDb& db,
+                                                    uint64_t seed, int ops) {
+  std::map<std::string, std::string> reference;
+  Rng rng(seed);
+  rig.RunTask([&]() -> sim::Task<void> {
+    for (int op = 0; op < ops; ++op) {
+      const std::string key = Key(static_cast<int>(rng.NextU64(400)));
+      if (rng.NextU64(100) < 25) {
+        EXPECT_TRUE((co_await db.Delete(key)).ok());
+        reference.erase(key);
+      } else {
+        const std::string value =
+            "v" + std::to_string(op) + std::string(rng.NextU64(700), 'z');
+        EXPECT_TRUE((co_await db.Put(key, value)).ok());
+        reference[key] = value;
+      }
+    }
+  }());
+  return reference;
+}
+
+TEST(LsmDbTest, ScanLiveYieldsNewestLiveVersionsOnce) {
+  for (const CompactionPolicy policy :
+       {CompactionPolicy::kLeveled, CompactionPolicy::kSizeTiered}) {
+    SCOPED_TRACE(policy == CompactionPolicy::kLeveled ? "leveled"
+                                                      : "size-tiered");
+    LsmRig rig;
+    LsmOptions opt = SmallOptions();
+    opt.compaction_policy = policy;
+    LsmDb db(rig.loop, rig.fs, rig.sched, 1, "t1", opt);
+    ASSERT_TRUE(db.Open().ok());
+    const std::map<std::string, std::string> reference =
+        ChurnWithDeletes(rig, db, 77, 3000);
+    ASSERT_GT(db.stats().flushes, 2u);
+    ASSERT_GT(db.stats().compactions, 0u);
+    const iosched::IoTag tag{1, iosched::AppRequest::kNone,
+                             iosched::InternalOp::kNone, {}};
+    // Once with live memtable contents, once after background work drains.
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<std::pair<std::string, std::string>> seen;
+      rig.RunTask([&]() -> sim::Task<void> {
+        if (pass == 1) {
+          co_await db.WaitIdle();
+        }
+        const Status s = co_await db.ScanLive(
+            tag, [&seen](std::string_view k, std::string_view v) {
+              seen.emplace_back(std::string(k), std::string(v));
+            });
+        EXPECT_TRUE(s.ok()) << s.ToString();
+      }());
+      const std::vector<std::pair<std::string, std::string>> want(
+          reference.begin(), reference.end());
+      EXPECT_EQ(seen, want) << "pass " << pass;
+    }
+  }
+}
+
+// Pins what one seeded write workload's compactions do under each policy:
+// counts, bytes, the final shape of the tree and the COMPACT VOPs the
+// tracker attributes. Three levels with a small L1 (leveled) or a trigger
+// of two runs (size-tiered), so merges reach the bottom level and drop
+// tombstones there.
+struct CompactionPin {
+  uint64_t compactions;
+  uint64_t bytes_read;
+  uint64_t bytes_written;
+  std::vector<int> files_per_level;
+  double read_vops;
+  double write_vops;
+};
+
+void ExpectCompactionPin(CompactionPolicy policy, const CompactionPin& want) {
+  LsmRig rig;
+  LsmOptions opt = SmallOptions();
+  opt.num_levels = 3;
+  opt.max_bytes_level1 = 64 * 1024;
+  opt.tier_compaction_trigger = 2;
+  opt.compaction_policy = policy;
+  LsmDb db(rig.loop, rig.fs, rig.sched, 1, "t1", opt);
+  ASSERT_TRUE(db.Open().ok());
+  const std::map<std::string, std::string> reference =
+      ChurnWithDeletes(rig, db, 2024, 12000);
+  rig.RunTask([&]() -> sim::Task<void> { co_await db.WaitIdle(); }());
+  const LsmStats stats = db.stats();
+  const auto& tracker = rig.sched.tracker();
+  const double read_vops =
+      tracker.VopsBy(1, iosched::AppRequest::kPut, iosched::InternalOp::kCompact,
+                     ssd::IoType::kRead);
+  const double write_vops =
+      tracker.VopsBy(1, iosched::AppRequest::kPut, iosched::InternalOp::kCompact,
+                     ssd::IoType::kWrite);
+  EXPECT_EQ(stats.compactions, want.compactions);
+  EXPECT_EQ(stats.compact_bytes_read, want.bytes_read);
+  EXPECT_EQ(stats.compact_bytes_written, want.bytes_written);
+  EXPECT_EQ(stats.files_per_level, want.files_per_level);
+  EXPECT_DOUBLE_EQ(read_vops, want.read_vops);
+  EXPECT_DOUBLE_EQ(write_vops, want.write_vops);
+  EXPECT_EQ(db.DebugCheckInvariants(), "");
+  size_t live = 0;
+  rig.RunTask([&]() -> sim::Task<void> {
+    const iosched::IoTag tag{1, iosched::AppRequest::kNone,
+                             iosched::InternalOp::kNone, {}};
+    co_await db.ScanLive(tag, [&live](std::string_view, std::string_view) {
+      ++live;
+    });
+  }());
+  EXPECT_EQ(live, reference.size());
+}
+
+TEST(LsmDbTest, LeveledCompactionOutputIsPinned) {
+  ExpectCompactionPin(CompactionPolicy::kLeveled,
+                      {35, 6682763, 3263638, {0, 0, 2}, 1176.989637106936,
+                       933.99974147397415});
+}
+
+TEST(LsmDbTest, SizeTieredCompactionOutputIsPinned) {
+  ExpectCompactionPin(CompactionPolicy::kSizeTiered,
+                      {55, 8524215, 5105047, {0, 0, 1}, 1394.4166840985679,
+                       1414.6587590560698});
+}
+
 }  // namespace
 }  // namespace libra::lsm

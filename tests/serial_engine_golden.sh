@@ -10,7 +10,7 @@
 # diffed.
 #
 # Usage: serial_engine_golden.sh <golden_dir> <workdir> <cluster_demo> \
-#            <failure_demo> <scan_demo>
+#            <failure_demo> <scan_demo> <read_path_demo>
 #
 # To re-capture after an intended output change, run the demos the same way
 # (in an empty directory, --stats-json=stats.json) and copy stdout.txt and
@@ -18,8 +18,8 @@
 
 set -u
 
-if [ $# -ne 5 ]; then
-  echo "usage: $0 <golden_dir> <workdir> <cluster_demo> <failure_demo> <scan_demo>" >&2
+if [ $# -ne 6 ]; then
+  echo "usage: $0 <golden_dir> <workdir> <cluster_demo> <failure_demo> <scan_demo> <read_path_demo>" >&2
   exit 2
 fi
 
@@ -28,6 +28,7 @@ WORK=$2
 CLUSTER_DEMO=$3
 FAILURE_DEMO=$4
 SCAN_DEMO=$5
+READ_PATH_DEMO=$6
 
 failures=0
 
@@ -68,6 +69,7 @@ check() {
 check cluster "$CLUSTER_DEMO"
 check failure "$FAILURE_DEMO" --seed=7
 check scan "$SCAN_DEMO"
+check read_path "$READ_PATH_DEMO"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures golden check(s) failed" >&2
