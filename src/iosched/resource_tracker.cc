@@ -48,6 +48,10 @@ void ResourceTracker::RecordIo(const IoTag& tag, ssd::IoType type,
   }
   t.vops_by[static_cast<int>(tag.app)][static_cast<int>(tag.internal)]
           [static_cast<int>(type)] += vop_cost;
+  if (attribution_ != nullptr) {
+    attribution_->RecordIo(tag.tenant, static_cast<uint8_t>(tag.app),
+                           static_cast<uint8_t>(tag.internal), vop_cost);
+  }
 }
 
 void ResourceTracker::RecordIoShare(const IoTag& tag, ssd::IoType type,
@@ -70,6 +74,9 @@ void ResourceTracker::RecordAppRequest(TenantId tenant, AppRequest app,
   // requests in its since-last-trigger accumulator.
   for (int i = 0; i < kNumInternalOps; ++i) {
     t.trig[static_cast<int>(app) * kNumInternalOps + i].s_accum += n;
+  }
+  if (attribution_ != nullptr) {
+    attribution_->RecordRequest(tenant, static_cast<uint8_t>(app), n);
   }
 }
 

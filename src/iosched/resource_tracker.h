@@ -19,6 +19,13 @@
 //   profile_t^a = q_t^a + sum_i q_t^{a,i}
 // is the VOP price of one normalized request, used by the resource policy
 // to provision allocations.
+//
+// The tracker is the node's only recording entry point for IO costs and
+// served requests. When tracing is on, the scheduler attaches its span
+// collector's obs::AttributionEstimator, and every RecordIo / RecordIoShare
+// / RecordAppRequest forwards the same doubles to it in the same order, so
+// the observed q̂^{a,i} matrix is a decomposition of this ledger by
+// construction rather than a parallel copy kept in step by hand.
 
 #ifndef LIBRA_SRC_IOSCHED_RESOURCE_TRACKER_H_
 #define LIBRA_SRC_IOSCHED_RESOURCE_TRACKER_H_
@@ -29,6 +36,7 @@
 
 #include "src/common/ewma.h"
 #include "src/iosched/io_tag.h"
+#include "src/obs/conformance.h"
 #include "src/ssd/io_types.h"
 
 namespace libra::iosched {
@@ -66,6 +74,12 @@ class ResourceTracker {
   // alpha: EWMA weight for profile smoothing.
   explicit ResourceTracker(double ewma_alpha = 0.3);
 
+  // Mirrors every later IO cost and served request into `estimator` (the
+  // span collector's; nullptr detaches). Not owned.
+  void AttachAttribution(obs::AttributionEstimator* estimator) {
+    attribution_ = estimator;
+  }
+
   // --- recording (hot path) ---
 
   // Called by the scheduler for every completed IO chunk.
@@ -81,7 +95,8 @@ class ResourceTracker {
   void RecordIoShare(const IoTag& tag, ssd::IoType type, uint32_t size_bytes,
                      double vop_cost);
 
-  // Called by the serving layer when an app request completes.
+  // Called by the serving layer once per billable app request: the one
+  // place a request enters the normalized (1KB) ledger.
   void RecordAppRequest(TenantId tenant, AppRequest app, uint64_t size_bytes);
 
   // Called by the persistence engine when app-request activity triggers an
@@ -165,6 +180,7 @@ class ResourceTracker {
   Tenant& GetTenant(TenantId id);
 
   double alpha_;
+  obs::AttributionEstimator* attribution_ = nullptr;
   std::unordered_map<TenantId, Tenant> tenants_;
   TenantIoStats empty_stats_;
   double total_vops_ = 0.0;

@@ -81,6 +81,9 @@ IoScheduler::IoScheduler(sim::EventLoop& loop, ssd::SsdDevice& device,
     spans_ = std::make_unique<obs::SpanCollector>(options_.span_capacity,
                                                   options_.span_sample_every,
                                                   options_.span_id_seed);
+    // The tracker feeds the estimator: one ledger, so the observed q̂
+    // matrix conserves the tracker's VOPs and requests bit-for-bit.
+    tracker_.AttachAttribution(&spans_->attribution());
   }
   chunk_ctx_.reserve(static_cast<size_t>(options_.queue_depth));
 }
@@ -413,24 +416,10 @@ void IoScheduler::OnChunkComplete(uint32_t index) {
   const uint32_t chunk = slot.chunk;
   if (slot.shares.empty()) {
     tracker_.RecordIo(op->tag, op->type, chunk, cost);
-    if (spans_ != nullptr) {
-      // Same cost value, same call order as the tracker: the estimator's
-      // per-tenant VOP totals reproduce the tracker's bit-for-bit.
-      spans_->attribution().RecordIo(op->tag.tenant,
-                                     static_cast<uint8_t>(op->tag.app),
-                                     static_cast<uint8_t>(op->tag.internal),
-                                     cost);
-    }
   } else {
     // Shared chunk: each contributor is charged its pre-split exact share.
     for (const ChunkShare& s : slot.shares) {
       tracker_.RecordIoShare(s.tag, op->type, s.bytes, s.cost);
-      if (spans_ != nullptr) {
-        spans_->attribution().RecordIo(s.tag.tenant,
-                                       static_cast<uint8_t>(s.tag.app),
-                                       static_cast<uint8_t>(s.tag.internal),
-                                       s.cost);
-      }
     }
     slot.shares.clear();  // free-list invariant: recycled slots hold none
   }

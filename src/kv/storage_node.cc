@@ -1,6 +1,8 @@
 #include "src/kv/storage_node.h"
 
+#include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "src/sim/sync.h"
 
@@ -60,51 +62,6 @@ Status ValidateReservation(const Reservation& r) {
   return Status::Ok();
 }
 
-// Mints the node-level request span: a child of the caller's (cluster)
-// span when one rode in, none when the caller's own draw sampled the
-// request out, else a new root trace honoring 1/N sampling. Returns an
-// invalid ctx when tracing is off or the request sampled out — every
-// downstream layer then runs untraced.
-struct RequestSpan {
-  TraceContext ctx;
-  uint64_t parent = 0;
-};
-
-RequestSpan BeginRequestSpan(obs::SpanCollector* spans, TraceContext caller) {
-  RequestSpan r;
-  if (spans == nullptr) {
-    return r;
-  }
-  if (caller.valid()) {
-    r.ctx = spans->MintChild(caller);
-    r.parent = caller.span_id;
-  } else if (!caller.sampled_out()) {
-    r.ctx = spans->MintTrace();
-  }
-  return r;
-}
-
-void EndRequestSpan(obs::SpanCollector* spans, const RequestSpan& r,
-                    obs::SpanKind kind, AppRequest app, TenantId tenant,
-                    SimTime start, SimTime end, uint64_t bytes,
-                    TraceContext link = {}) {
-  if (spans == nullptr || !r.ctx.valid()) {
-    return;
-  }
-  obs::SpanRecord rec;
-  rec.trace_id = r.ctx.trace_id;
-  rec.span_id = r.ctx.span_id;
-  rec.parent_span = r.parent;
-  rec.kind = kind;
-  rec.app = static_cast<uint8_t>(app);
-  rec.tenant = tenant;
-  rec.start_ns = start;
-  rec.end_ns = end;
-  rec.bytes = bytes;
-  rec.links.Add(link);
-  spans->Record(rec);
-}
-
 }  // namespace
 
 lsm::LsmOptions StorageNode::TenantLsmOptions(TenantId tenant) const {
@@ -143,15 +100,10 @@ Status StorageNode::AddTenant(TenantId tenant, Reservation reservation,
   // Resolve the tenant's latency series now; the request path only touches
   // these pre-registered histograms (see RequestLatency).
   RequestLatency& rl = request_latency_[tenant];
-  rl.get = &metrics_.GetHistogram(
-      "app_request_latency_ns",
-      {tenant, static_cast<uint8_t>(AppRequest::kGet), 0});
-  rl.put = &metrics_.GetHistogram(
-      "app_request_latency_ns",
-      {tenant, static_cast<uint8_t>(AppRequest::kPut), 0});
-  rl.scan = &metrics_.GetHistogram(
-      "app_request_latency_ns",
-      {tenant, static_cast<uint8_t>(AppRequest::kScan), 0});
+  for (int a = iosched::kFirstAppRequest; a < iosched::kNumAppRequests; ++a) {
+    rl.by_app[a] = &metrics_.GetHistogram("app_request_latency_ns",
+                                          {tenant, static_cast<uint8_t>(a), 0});
+  }
   return Status::Ok();
 }
 
@@ -247,171 +199,160 @@ std::vector<TenantId> StorageNode::tenants() const {
   return out;
 }
 
-sim::Task<Status> StorageNode::Put(TenantId tenant, const std::string& key,
-                                   const std::string& value, TraceContext ctx) {
+StorageNode::Request StorageNode::Admit(TenantId tenant, TraceContext caller) {
+  Request r;
+  r.tenant = tenant;
   if (crashed_) {
-    co_return Status::Unavailable("node crashed");
+    r.status = Status::Unavailable("node crashed");
+    return r;
   }
-  lsm::LsmDb* db = partition(tenant);
-  if (db == nullptr) {
-    co_return Status::NotFound("unknown tenant");
+  r.db = partition(tenant);
+  if (r.db == nullptr) {
+    r.status = Status::NotFound("unknown tenant");
+    return r;
   }
-  obs::SpanCollector* spans = scheduler_.spans();
-  const RequestSpan span = BeginRequestSpan(spans, ctx);
-  const SimTime start = loop_.Now();
-  Status s = co_await db->Put(key, value, span.ctx);
-  request_latency_[tenant].put->Record(
-      static_cast<uint64_t>(loop_.Now() - start));
-  if (s.ok()) {
+  // The node-level span: a child of the caller's (cluster) span when one
+  // rode in, none when the caller's own draw sampled the request out, else
+  // a new root trace honoring 1/N sampling. It stays invalid when tracing
+  // is off or the request sampled out — every downstream layer then runs
+  // untraced.
+  if (obs::SpanCollector* spans = scheduler_.spans(); spans != nullptr) {
+    if (caller.valid()) {
+      r.ctx = spans->MintChild(caller);
+      r.parent = caller.span_id;
+    } else if (!caller.sampled_out()) {
+      r.ctx = spans->MintTrace();
+    }
+  }
+  r.start = loop_.Now();
+  return r;
+}
+
+void StorageNode::Finish(const Request& r, AppRequest app, uint64_t bytes,
+                         bool billable, obs::SpanKind kind,
+                         TraceContext link) {
+  if (billable) {
     // Normalized app-request accounting happens at the protocol layer
     // (§2.2): reservations are in size-normalized 1KB requests. The
-    // attribution estimator sees the same normalization for every request
-    // (sampled or not) so the observed q̂ denominator stays exact.
-    tracker().RecordAppRequest(tenant, AppRequest::kPut, value.size());
-    if (spans != nullptr) {
-      spans->attribution().RecordRequest(
-          tenant, static_cast<uint8_t>(AppRequest::kPut),
-          iosched::NormalizedRequests(value.size()));
-    }
-    if (cache_ != nullptr) {
-      cache_->Put(key, value);  // write-through
-    }
+    // tracker mirrors the same normalization into the attribution
+    // estimator, so the observed q̂ denominator stays exact.
+    tracker().RecordAppRequest(r.tenant, app, bytes);
   }
-  EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kPut,
-                 tenant, start, loop_.Now(), value.size());
-  co_return s;
+  const SimTime end = loop_.Now();
+  request_latency_[r.tenant].by_app[static_cast<int>(app)]->Record(
+      static_cast<uint64_t>(end - r.start));
+  obs::SpanCollector* spans = scheduler_.spans();
+  if (spans == nullptr || !r.ctx.valid()) {
+    return;
+  }
+  obs::SpanRecord rec;
+  rec.trace_id = r.ctx.trace_id;
+  rec.span_id = r.ctx.span_id;
+  rec.parent_span = r.parent;
+  rec.kind = kind;
+  rec.app = static_cast<uint8_t>(app);
+  rec.tenant = r.tenant;
+  rec.start_ns = r.start;
+  rec.end_ns = end;
+  rec.bytes = bytes;
+  rec.links.Add(link);
+  spans->Record(rec);
+}
+
+sim::Task<Status> StorageNode::Put(TenantId tenant, const std::string& key,
+                                   const std::string& value, TraceContext ctx) {
+  return Write(tenant, key, &value, ctx);
 }
 
 sim::Task<Status> StorageNode::Delete(TenantId tenant, const std::string& key,
                                       TraceContext ctx) {
-  if (crashed_) {
-    co_return Status::Unavailable("node crashed");
+  return Write(tenant, key, nullptr, ctx);
+}
+
+sim::Task<Status> StorageNode::Write(TenantId tenant, const std::string& key,
+                                     const std::string* value,
+                                     TraceContext ctx) {
+  const Request r = Admit(tenant, ctx);
+  if (!r.status.ok()) {
+    co_return r.status;
   }
-  lsm::LsmDb* db = partition(tenant);
-  if (db == nullptr) {
-    co_return Status::NotFound("unknown tenant");
+  Status s;
+  if (value != nullptr) {
+    s = co_await r.db->Put(key, *value, r.ctx);
+  } else {
+    s = co_await r.db->Delete(key, r.ctx);
   }
-  obs::SpanCollector* spans = scheduler_.spans();
-  const RequestSpan span = BeginRequestSpan(spans, ctx);
-  const SimTime start = loop_.Now();
-  Status s = co_await db->Delete(key, span.ctx);
-  request_latency_[tenant].put->Record(
-      static_cast<uint64_t>(loop_.Now() - start));
-  if (s.ok()) {
-    tracker().RecordAppRequest(tenant, AppRequest::kPut, key.size());
-    if (spans != nullptr) {
-      spans->attribution().RecordRequest(
-          tenant, static_cast<uint8_t>(AppRequest::kPut),
-          iosched::NormalizedRequests(key.size()));
-    }
-    if (cache_ != nullptr) {
+  if (s.ok() && cache_ != nullptr) {
+    if (value != nullptr) {
+      cache_->Put(key, *value);  // write-through
+    } else {
       cache_->Erase(key);
     }
   }
-  EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kPut,
-                 tenant, start, loop_.Now(), key.size());
+  // A DELETE is a PUT-class request billed by its key bytes.
+  Finish(r, AppRequest::kPut, value != nullptr ? value->size() : key.size(),
+         s.ok());
   co_return s;
 }
 
 sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
                                                 const std::string& key,
                                                 TraceContext ctx) {
-  if (crashed_) {
-    co_return Result<std::string>(Status::Unavailable("node crashed"));
+  const Request r = Admit(tenant, ctx);
+  if (!r.status.ok()) {
+    co_return Result<std::string>(r.status);
   }
-  lsm::LsmDb* db = partition(tenant);
-  if (db == nullptr) {
-    co_return Result<std::string>(Status::NotFound("unknown tenant"));
-  }
-  obs::SpanCollector* spans = scheduler_.spans();
-  const RequestSpan span = BeginRequestSpan(spans, ctx);
-  const SimTime start = loop_.Now();
+  std::optional<std::string> hit;
   if (cache_ != nullptr) {
-    if (auto hit = cache_->Get(key); hit.has_value()) {
-      Result<std::string> out(std::move(*hit));
-      // Cache hits consume no IO; they still count as served requests.
-      tracker().RecordAppRequest(tenant, AppRequest::kGet, out.value().size());
-      if (spans != nullptr) {
-        spans->attribution().RecordRequest(
-            tenant, static_cast<uint8_t>(AppRequest::kGet),
-            iosched::NormalizedRequests(out.value().size()));
-      }
-      request_latency_[tenant].get->Record(
-          static_cast<uint64_t>(loop_.Now() - start));
-      EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kGet,
-                     tenant, start, loop_.Now(), out.value().size());
-      co_return out;
+    hit = cache_->Get(key);
+  }
+  // With read coalescing on, a miss either joins the in-flight lookup of
+  // the same (tenant, key) or claims the flight for itself.
+  std::pair<TenantId, std::string> flight_key;
+  GetFlight* joined = nullptr;
+  if (!hit.has_value() && options_.enable_read_coalescing) {
+    flight_key = {tenant, key};
+    if (const auto it = inflight_gets_.find(flight_key);
+        it != inflight_gets_.end()) {
+      joined = &it->second;
+    } else {
+      inflight_gets_.emplace(flight_key, GetFlight{r.ctx, {}});
     }
   }
-  if (options_.enable_read_coalescing) {
-    const std::pair<TenantId, std::string> flight_key(tenant, key);
-    const auto it = inflight_gets_.find(flight_key);
-    if (it != inflight_gets_.end()) {
-      // Follower: ride the leader's in-flight lookup. The request is still
-      // individually billed and its latency recorded — only the IO is
-      // shared. Its span links the leader's lookup it rode.
-      ++coalesced_gets_;
-      const TraceContext leader_ctx = it->second.leader_ctx;
-      sim::OneShot<Result<std::string>> done(loop_);
-      it->second.waiters.push_back(&done);
-      Result<std::string> out = co_await done.Wait();
-      const uint64_t billed = out.ok() ? out.value().size() : 1;
-      tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
-      if (spans != nullptr) {
-        spans->attribution().RecordRequest(
-            tenant, static_cast<uint8_t>(AppRequest::kGet),
-            iosched::NormalizedRequests(billed));
+  Result<std::string> out;
+  obs::SpanKind kind = obs::SpanKind::kRequest;
+  TraceContext leader_ctx;
+  if (hit.has_value()) {
+    // Cache hits consume no IO; they still count as served requests.
+    out = Result<std::string>(std::move(*hit));
+  } else if (joined != nullptr) {
+    // Follower: ride the leader's in-flight lookup. The request is still
+    // individually billed and its latency recorded — only the IO is
+    // shared. Its span links the leader's lookup it rode.
+    ++coalesced_gets_;
+    kind = obs::SpanKind::kCoalescedGet;
+    leader_ctx = joined->leader_ctx;
+    sim::OneShot<Result<std::string>> done(loop_);
+    joined->waiters.push_back(&done);
+    out = co_await done.Wait();
+  } else {
+    lsm::LsmDb::GetResult got = co_await r.db->Get(key, r.ctx);
+    out = Result<std::string>(std::move(got.status), std::move(got.value));
+    if (options_.enable_read_coalescing) {
+      // Leader: resolve everyone who joined meanwhile, before billing.
+      // Detach the waiter list first: a resumed follower may immediately
+      // issue the same key again and must start a fresh flight.
+      auto flight = inflight_gets_.extract(flight_key);
+      for (sim::OneShot<Result<std::string>>* w : flight.mapped().waiters) {
+        w->Set(out);
       }
-      request_latency_[tenant].get->Record(
-          static_cast<uint64_t>(loop_.Now() - start));
-      EndRequestSpan(spans, span, obs::SpanKind::kCoalescedGet,
-                     AppRequest::kGet, tenant, start, loop_.Now(), billed,
-                     leader_ctx);
-      co_return out;
     }
-    // Leader: claim the flight, run the lookup, resolve everyone who
-    // joined meanwhile.
-    inflight_gets_.emplace(flight_key, GetFlight{span.ctx, {}});
-    lsm::LsmDb::GetResult r = co_await db->Get(key, span.ctx);
-    Result<std::string> out(std::move(r.status), std::move(r.value));
-    // Detach the waiter list before resolving: a resumed follower may
-    // immediately issue the same key again and must start a fresh flight.
-    auto flight = inflight_gets_.extract(flight_key);
-    for (sim::OneShot<Result<std::string>>* w : flight.mapped().waiters) {
-      w->Set(out);
-    }
-    const uint64_t billed = out.ok() ? out.value().size() : 1;
-    tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
-    if (spans != nullptr) {
-      spans->attribution().RecordRequest(
-          tenant, static_cast<uint8_t>(AppRequest::kGet),
-          iosched::NormalizedRequests(billed));
-    }
-    request_latency_[tenant].get->Record(
-        static_cast<uint64_t>(loop_.Now() - start));
     if (out.ok() && cache_ != nullptr) {
       cache_->Put(key, out.value());
     }
-    EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kGet,
-                   tenant, start, loop_.Now(), billed);
-    co_return out;
   }
-  lsm::LsmDb::GetResult r = co_await db->Get(key, span.ctx);
-  Result<std::string> out(std::move(r.status), std::move(r.value));
-  const uint64_t billed = out.ok() ? out.value().size() : 1;
-  tracker().RecordAppRequest(tenant, AppRequest::kGet, billed);
-  if (spans != nullptr) {
-    spans->attribution().RecordRequest(
-        tenant, static_cast<uint8_t>(AppRequest::kGet),
-        iosched::NormalizedRequests(billed));
-  }
-  request_latency_[tenant].get->Record(
-      static_cast<uint64_t>(loop_.Now() - start));
-  if (out.ok() && cache_ != nullptr) {
-    cache_->Put(key, out.value());
-  }
-  EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kGet,
-                 tenant, start, loop_.Now(), billed);
+  Finish(r, AppRequest::kGet, out.ok() ? out.value().size() : 1,
+         /*billable=*/true, kind, leader_ctx);
   co_return out;
 }
 
@@ -420,44 +361,25 @@ sim::Task<lsm::LsmDb::ScanResult> StorageNode::Scan(TenantId tenant,
                                                     const std::string& end,
                                                     size_t limit,
                                                     TraceContext ctx) {
-  if (crashed_) {
+  const Request r = Admit(tenant, ctx);
+  if (!r.status.ok()) {
     lsm::LsmDb::ScanResult out;
-    out.status = Status::Unavailable("node crashed");
+    out.status = r.status;
     co_return out;
   }
-  lsm::LsmDb* db = partition(tenant);
-  if (db == nullptr) {
-    lsm::LsmDb::ScanResult out;
-    out.status = Status::NotFound("unknown tenant");
-    co_return out;
-  }
-  obs::SpanCollector* spans = scheduler_.spans();
-  const RequestSpan span = BeginRequestSpan(spans, ctx);
-  const SimTime start_time = loop_.Now();
   // Scans bypass the object cache: the merge must see a consistent ordered
   // cut of the tree, which point-lookup cache entries cannot provide.
-  lsm::LsmDb::ScanResult out = co_await db->Scan(start, end, limit, span.ctx);
+  lsm::LsmDb::ScanResult out = co_await r.db->Scan(start, end, limit, r.ctx);
   uint64_t billed = 0;
   if (out.status.ok()) {
     for (const auto& [key, value] : out.entries) {
       billed += value.size();
     }
-    // An empty or failed range still did index/seek work: bill at least
-    // one normalized request, mirroring GET's not-found billing.
-    if (billed == 0) {
-      billed = 1;
-    }
-    tracker().RecordAppRequest(tenant, AppRequest::kScan, billed);
-    if (spans != nullptr) {
-      spans->attribution().RecordRequest(
-          tenant, static_cast<uint8_t>(AppRequest::kScan),
-          iosched::NormalizedRequests(billed));
-    }
+    // An empty range still did index/seek work: bill at least one
+    // normalized request, mirroring GET's not-found billing.
+    billed = std::max<uint64_t>(billed, 1);
   }
-  request_latency_[tenant].scan->Record(
-      static_cast<uint64_t>(loop_.Now() - start_time));
-  EndRequestSpan(spans, span, obs::SpanKind::kRequest, AppRequest::kScan,
-                 tenant, start_time, loop_.Now(), billed);
+  Finish(r, AppRequest::kScan, billed, out.status.ok());
   co_return out;
 }
 
@@ -520,9 +442,10 @@ NodeStats StorageNode::Snapshot() const {
     t.allocation_vops = scheduler_.Allocation(tenant);
     if (const auto it = request_latency_.find(tenant);
         it != request_latency_.end()) {
-      t.get_latency = *it->second.get;
-      t.put_latency = *it->second.put;
-      t.scan_latency = *it->second.scan;
+      const RequestLatency& rl = it->second;
+      t.get_latency = *rl.by_app[static_cast<int>(AppRequest::kGet)];
+      t.put_latency = *rl.by_app[static_cast<int>(AppRequest::kPut)];
+      t.scan_latency = *rl.by_app[static_cast<int>(AppRequest::kScan)];
     }
     t.compaction_policy = policy_.CompactionPolicyOf(tenant);
     if (const iosched::TenantLifecycleStats* lc = scheduler_.lifecycle(tenant);

@@ -28,6 +28,7 @@
 #include "src/kv/node_stats.h"
 #include "src/lsm/db.h"
 #include "src/obs/registry.h"
+#include "src/obs/span.h"
 #include "src/sim/event_loop.h"
 #include "src/ssd/calibration.h"
 #include "src/ssd/device.h"
@@ -176,10 +177,32 @@ class StorageNode {
   // Per-tenant app-request latency series, resolved once at AddTenant so
   // the request path records without registry lookups or allocation.
   struct RequestLatency {
-    obs::LatencyHistogram* get = nullptr;
-    obs::LatencyHistogram* put = nullptr;
-    obs::LatencyHistogram* scan = nullptr;
+    obs::LatencyHistogram* by_app[iosched::kNumAppRequests] = {};
   };
+
+  // One admitted request: its partition, its node-level span and when it
+  // started. A non-ok status rejects it before any work (crashed node:
+  // kUnavailable; unknown tenant: kNotFound).
+  struct Request {
+    Status status;
+    iosched::TenantId tenant = 0;
+    lsm::LsmDb* db = nullptr;
+    TraceContext ctx;     // invalid when untraced or sampled out
+    uint64_t parent = 0;  // caller's span id, 0 for a root span
+    SimTime start = 0;
+  };
+
+  // The admit and finish steps every request kind shares. Finish bills
+  // `bytes` through the tracker when `billable`, records the class
+  // latency and ends the request span (linking `link`, if valid).
+  Request Admit(iosched::TenantId tenant, TraceContext caller);
+  void Finish(const Request& r, iosched::AppRequest app, uint64_t bytes,
+              bool billable, obs::SpanKind kind = obs::SpanKind::kRequest,
+              TraceContext link = {});
+
+  // PUT (value != nullptr) and DELETE (tombstone) share one body.
+  sim::Task<Status> Write(iosched::TenantId tenant, const std::string& key,
+                          const std::string* value, TraceContext ctx);
 
   // The tenant's LsmOptions: the node-wide base with the tenant's declared
   // compaction policy applied.

@@ -5,12 +5,13 @@
 // op) resource profiles. Nothing in the aggregate metrics can verify that
 // the profile a tenant *declared* at admission matches what actually flows
 // through the scheduler; this estimator closes that loop. It accumulates,
-// per tenant, the VOPs attributed to every (app, internal) cell — fed by
-// the scheduler on each chunk completion with the exact same cost values
-// the ResourceTracker records, in the same order, so the per-tenant total
-// reproduces the tracker's VOP sum bit-for-bit — plus the normalized
-// request counts that form the denominators of q̂^{a,i} = VOPs attributed
-// to (a, i) per normalized request of class a.
+// per tenant, the VOPs attributed to every (app, internal) cell plus the
+// normalized request counts that form the denominators of q̂^{a,i} = VOPs
+// attributed to (a, i) per normalized request of class a. Its one feed is
+// iosched::ResourceTracker, which forwards every IO cost and billed request
+// it records, the same doubles in the same order — so the per-tenant VOP
+// total and request counts reproduce the tracker's bit-for-bit by
+// construction.
 //
 // Field vocabulary mirrors iosched::AppRequest / InternalOp (io_tag.h) as
 // raw uint8 switches: obs stays the bottom observability layer.
@@ -52,8 +53,8 @@ AttributionMatrix Diff(const AttributionMatrix& later,
 
 class AttributionEstimator {
  public:
-  // One attributed IO cost (called once per chunk, or once per share of a
-  // shared chunk, with the exact cost the tracker records).
+  // One attributed IO cost (once per chunk, or once per share of a shared
+  // chunk, with the exact cost the tracker records).
   void RecordIo(uint32_t tenant, uint8_t app, uint8_t internal, double vops) {
     AttributionMatrix& m = tenants_[tenant];
     m.vops[app][internal] += vops;

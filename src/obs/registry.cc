@@ -2,29 +2,9 @@
 
 namespace libra::obs {
 
-Counter& MetricsRegistry::GetCounter(const std::string& name, SeriesKey key) {
-  return counters_[Key{name, key}];
-}
-
-Gauge& MetricsRegistry::GetGauge(const std::string& name, SeriesKey key) {
-  return gauges_[Key{name, key}];
-}
-
 LatencyHistogram& MetricsRegistry::GetHistogram(const std::string& name,
                                                 SeriesKey key) {
   return histograms_[Key{name, key}];
-}
-
-const Counter* MetricsRegistry::FindCounter(const std::string& name,
-                                            SeriesKey key) const {
-  const auto it = counters_.find(Key{name, key});
-  return it == counters_.end() ? nullptr : &it->second;
-}
-
-const Gauge* MetricsRegistry::FindGauge(const std::string& name,
-                                        SeriesKey key) const {
-  const auto it = gauges_.find(Key{name, key});
-  return it == gauges_.end() ? nullptr : &it->second;
 }
 
 const LatencyHistogram* MetricsRegistry::FindHistogram(const std::string& name,

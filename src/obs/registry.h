@@ -1,9 +1,9 @@
-// Metrics registry: named counters, gauges, and latency histograms keyed by
-// (tenant, app request, internal op).
+// Metrics registry: named latency histograms keyed by (tenant, app request,
+// internal op).
 //
 // Usage discipline (what keeps the hot path allocation-free): callers
-// resolve each series ONCE at setup time — Counter()/Gauge()/Histogram()
-// may allocate the series node — and keep the returned reference. The
+// resolve each series ONCE at setup time — GetHistogram() may allocate the
+// series node — and keep the returned reference. The
 // returned references are stable for the registry's lifetime (node-based
 // map storage), so per-request code touches only the pre-registered object.
 //
@@ -42,24 +42,6 @@ struct SeriesKey {
   }
 };
 
-class Counter {
- public:
-  void Add(double d = 1.0) { value_ += d; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-class Gauge {
- public:
-  void Set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -67,29 +49,13 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // Find-or-create. References stay valid for the registry's lifetime.
-  Counter& GetCounter(const std::string& name, SeriesKey key = {});
-  Gauge& GetGauge(const std::string& name, SeriesKey key = {});
   LatencyHistogram& GetHistogram(const std::string& name, SeriesKey key = {});
 
   // Lookup without creating; nullptr when the series was never registered.
-  const Counter* FindCounter(const std::string& name, SeriesKey key = {}) const;
-  const Gauge* FindGauge(const std::string& name, SeriesKey key = {}) const;
   const LatencyHistogram* FindHistogram(const std::string& name,
                                         SeriesKey key = {}) const;
 
   // Iteration for export: fn(name, key, metric).
-  template <typename Fn>
-  void ForEachCounter(Fn&& fn) const {
-    for (const auto& [k, v] : counters_) {
-      fn(k.first, k.second, v);
-    }
-  }
-  template <typename Fn>
-  void ForEachGauge(Fn&& fn) const {
-    for (const auto& [k, v] : gauges_) {
-      fn(k.first, k.second, v);
-    }
-  }
   template <typename Fn>
   void ForEachHistogram(Fn&& fn) const {
     for (const auto& [k, v] : histograms_) {
@@ -97,15 +63,11 @@ class MetricsRegistry {
     }
   }
 
-  size_t num_series() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
+  size_t num_series() const { return histograms_.size(); }
 
  private:
   using Key = std::pair<std::string, SeriesKey>;
   // std::map: stable addresses across inserts (the registration contract).
-  std::map<Key, Counter> counters_;
-  std::map<Key, Gauge> gauges_;
   std::map<Key, LatencyHistogram> histograms_;
 };
 

@@ -72,9 +72,13 @@ sim::Task<void> RawIoWorkload::Worker(SimTime end_time) {
 KvTenantWorkload::KvTenantWorkload(sim::EventLoop& loop, kv::StorageNode& node,
                                    iosched::TenantId tenant,
                                    KvWorkloadSpec spec, uint64_t seed)
-    : loop_(loop), node_(node), tenant_(tenant), spec_(spec), rng_(seed) {
-  get_dist_ = std::make_unique<LogNormalSize>(MakeDist(spec_.get_size));
-  put_dist_ = std::make_unique<LogNormalSize>(MakeDist(spec_.put_size));
+    : loop_(loop),
+      node_(node),
+      tenant_(tenant),
+      spec_(spec),
+      rng_(seed),
+      get_dist_(MakeDist(spec.get_size)),
+      put_dist_(MakeDist(spec.put_size)) {
   put_keys_ = std::max<uint64_t>(
       16, spec_.live_bytes_target /
               static_cast<uint64_t>(std::max(1.0, spec_.put_size.mean_bytes)));
@@ -109,14 +113,14 @@ sim::Task<void> KvTenantWorkload::Preload() {
   // PUT range (churned by the workload).
   for (uint64_t i = 0; i < put_keys_; ++i) {
     const std::string key = PutKey(i);
-    co_await node_.Put(tenant_, key, MakeValue(key, put_dist_->Sample(rng_)));
+    co_await node_.Put(tenant_, key, MakeValue(key, put_dist_.Sample(rng_)));
   }
   // GET range (stable objects), when disjoint.
   if (spec_.disjoint_get_range) {
     for (uint64_t i = 0; i < get_keys_; ++i) {
       const std::string key = GetKey(i);
       co_await node_.Put(tenant_, key,
-                         MakeValue(key, get_dist_->Sample(rng_)));
+                         MakeValue(key, get_dist_.Sample(rng_)));
     }
   }
 }
@@ -125,18 +129,6 @@ void KvTenantWorkload::Start(sim::TaskGroup& group, SimTime end_time) {
   for (int w = 0; w < spec_.workers; ++w) {
     group.Spawn(Worker(end_time));
   }
-}
-
-void KvTenantWorkload::SwapMix(const KvWorkloadSpec& spec) {
-  spec_.get_fraction = spec.get_fraction;
-  spec_.get_absent_fraction = spec.get_absent_fraction;
-  spec_.scan_fraction = spec.scan_fraction;
-  spec_.scan_span = spec.scan_span;
-  spec_.get_size = spec.get_size;
-  spec_.put_size = spec.put_size;
-  get_dist_ = std::make_unique<LogNormalSize>(MakeDist(spec_.get_size));
-  put_dist_ = std::make_unique<LogNormalSize>(MakeDist(spec_.put_size));
-  // Key ranges deliberately stay as preloaded.
 }
 
 sim::Task<void> KvTenantWorkload::Worker(SimTime end_time) {
@@ -170,7 +162,7 @@ sim::Task<void> KvTenantWorkload::Worker(SimTime end_time) {
                                             : rng_.NextU64(put_keys_);
       const std::string key = PutKey(idx);
       co_await node_.Put(tenant_, key,
-                         MakeValue(key, put_dist_->Sample(rng_)));
+                         MakeValue(key, put_dist_.Sample(rng_)));
       ++puts_done_;
     }
   }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -139,34 +141,118 @@ TEST(NodeTraceTest, CoalescedFollowerSpanLinksLeader) {
   EXPECT_GT(followers, 0);
 }
 
-// Full-stack conservation: after churn that exercises WAL group commit
-// (shared IOPs), flushes and multi-table compactions, the span-attributed
-// VOP total still reproduces the ResourceTracker's per-tenant sum exactly.
+// Requests issued per app class (DELETEs count as PUTs), per tenant.
+using Issued = std::array<uint64_t, iosched::kNumAppRequests>;
+
+// Every request kind the node serves, against one tenant: PUTs and
+// DELETEs that flush, compact and group-commit; GETs that hit the object
+// cache (write-through), miss it into the tree, or find a tombstone; SCANs
+// over a live and an empty range.
+sim::Task<void> EveryRequestKind(StorageNode* node, TenantId tenant, int n,
+                                 Issued* issued) {
+  auto count = [issued](AppRequest a) { ++(*issued)[static_cast<int>(a)]; };
+  for (int i = 0; i < n; ++i) {
+    const std::string key = "k" + std::to_string(i % 30);
+    EXPECT_TRUE((co_await node->Put(tenant, key, Val(i))).ok());
+    count(AppRequest::kPut);
+    if (i % 4 == 0) {
+      EXPECT_TRUE((co_await node->Get(tenant, key)).ok());
+      count(AppRequest::kGet);
+    }
+    if (i % 5 == 0) {
+      const std::string other = "k" + std::to_string((i + 15) % 30);
+      (void)co_await node->Get(tenant, other);
+      count(AppRequest::kGet);
+    }
+    if (i % 9 == 0) {
+      const std::string gone = "k" + std::to_string((i + 7) % 30);
+      EXPECT_TRUE((co_await node->Delete(tenant, gone)).ok());
+      count(AppRequest::kPut);
+      const auto r = co_await node->Get(tenant, gone);
+      EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+      count(AppRequest::kGet);
+    }
+    if (i % 11 == 0) {
+      const auto live = co_await node->Scan(tenant, "k", std::string(), 8);
+      EXPECT_TRUE(live.status.ok());
+      EXPECT_GT(live.entries.size(), 0u);
+      const auto empty = co_await node->Scan(tenant, "x", "y", 8);
+      EXPECT_TRUE(empty.status.ok());
+      EXPECT_EQ(empty.entries.size(), 0u);
+      count(AppRequest::kScan);
+      count(AppRequest::kScan);
+    }
+  }
+  // A key served from an SSTable (too large for the object cache, pushed
+  // out of the memtable by the fill), read by three concurrent GETs: one
+  // leader and two coalesced followers.
+  EXPECT_TRUE((co_await node->Put(tenant, "hot", std::string(8192, 'h'))).ok());
+  count(AppRequest::kPut);
+  for (int i = 0; i < 50; ++i) {
+    const std::string fill = "fill" + std::to_string(i);
+    EXPECT_TRUE((co_await node->Put(tenant, fill, Val(i))).ok());
+    count(AppRequest::kPut);
+  }
+  co_await node->partition(tenant)->WaitIdle();
+  sim::TaskGroup group(node->loop());
+  for (int i = 0; i < 3; ++i) {
+    group.Spawn(GetExpectOk(node, tenant, "hot"));
+    count(AppRequest::kGet);
+  }
+  co_await group.Join();
+  co_await node->partition(tenant)->WaitIdle();
+}
+
+// Full-stack conservation: with the object cache, read coalescing and 1/3
+// span sampling on, every request kind — flushes, compactions and WAL
+// group commit (shared IOPs) included — leaves the attribution matrix an
+// exact decomposition of the tracker's ledger: the same VOP total and the
+// same normalized-request denominators, bit for bit.
 TEST(NodeTraceTest, AttributionConservesVopsThroughFullStack) {
-  NodeRig rig;
-  ASSERT_TRUE(rig.node.AddTenant(1, {500.0, 500.0}).ok());
-  ASSERT_TRUE(rig.node.AddTenant(2, {500.0, 500.0}).ok());
+  NodeOptions opt = TraceOptions();
+  opt.enable_cache = true;
+  opt.cache_bytes = 4 * 1024;  // a handful of values: most GETs miss
+  opt.enable_read_coalescing = true;
+  opt.scheduler_options.span_sample_every = 3;
+  NodeRig rig(opt);
+  std::map<TenantId, Issued> issued;
+  for (TenantId t : {TenantId{1}, TenantId{2}}) {
+    ASSERT_TRUE(rig.node.AddTenant(t, {500.0, 500.0, 100.0}).ok());
+    issued[t] = {};
+  }
   rig.RunTask([&]() -> sim::Task<void> {
     sim::TaskGroup group(rig.loop);
-    group.Spawn(Churn(&rig.node, 1, 150));
-    group.Spawn(Churn(&rig.node, 2, 150));
+    group.Spawn(EveryRequestKind(&rig.node, 1, 150, &issued[1]));
+    group.Spawn(EveryRequestKind(&rig.node, 2, 150, &issued[2]));
     co_await group.Join();
-    co_await rig.node.partition(1)->WaitIdle();
-    co_await rig.node.partition(2)->WaitIdle();
   }());
 
-  // The churn must actually have exercised the background paths.
+  // The run must actually have exercised every path.
   EXPECT_GT(rig.node.partition(1)->stats().compactions, 0u);
   EXPECT_GT(rig.node.partition(1)->stats().wal_batches, 0u);
+  EXPECT_GT(rig.node.cache()->hits(), 0u);
+  EXPECT_GT(rig.node.cache()->misses(), 0u);
+  EXPECT_GE(rig.node.coalesced_gets(), 4u);
+  EXPECT_GT(rig.node.scheduler().spans()->sampled_out(), 0u);
+  const iosched::ResourceTracker& tr = rig.node.tracker();
   for (TenantId t : {TenantId{1}, TenantId{2}}) {
     const obs::AttributionMatrix* m =
         rig.node.scheduler().spans()->attribution().Of(t);
     ASSERT_NE(m, nullptr);
-    EXPECT_EQ(m->total_vops, rig.node.tracker().Stats(t).vops)
-        << "tenant " << t;
-    // And the request denominators are populated.
-    EXPECT_GT(m->norm_requests[static_cast<int>(AppRequest::kPut)], 0.0);
-    EXPECT_GT(m->norm_requests[static_cast<int>(AppRequest::kGet)], 0.0);
+    EXPECT_EQ(m->total_vops, tr.Stats(t).vops) << "tenant " << t;
+    for (AppRequest a : {AppRequest::kGet, AppRequest::kPut,
+                         AppRequest::kScan}) {
+      const int ai = static_cast<int>(a);
+      EXPECT_GT(m->norm_requests[ai], 0.0);
+      EXPECT_EQ(m->norm_requests[ai], tr.NormalizedRequestsTotal(t, a))
+          << "tenant " << t << " " << iosched::AppRequestName(a);
+      // Every issued request, served or coalesced, is timed once.
+      const obs::LatencyHistogram* h = rig.node.metrics().FindHistogram(
+          "app_request_latency_ns", {t, static_cast<uint8_t>(ai), 0});
+      ASSERT_NE(h, nullptr);
+      EXPECT_EQ(h->count(), issued[t][ai])
+          << "tenant " << t << " " << iosched::AppRequestName(a);
+    }
   }
 }
 
