@@ -351,8 +351,13 @@ sim::Task<Result<std::string>> StorageNode::Get(TenantId tenant,
       cache_->Put(key, out.value());
     }
   }
-  Finish(r, AppRequest::kGet, out.ok() ? out.value().size() : 1,
-         /*billable=*/true, kind, leader_ctx);
+  // A GET that completed is billed: by its value bytes when found, as one
+  // normalized request (the index/seek work) when not. One failed by the
+  // partition dying under it is not — PUT, DELETE and SCAN do the same.
+  const bool completed =
+      out.ok() || out.status().code() == StatusCode::kNotFound;
+  Finish(r, AppRequest::kGet, out.ok() ? out.value().size() : 1, completed,
+         kind, leader_ctx);
   co_return out;
 }
 

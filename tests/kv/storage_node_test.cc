@@ -264,6 +264,36 @@ TEST(StorageNodeTest, ReadCoalescingOffEveryGetPaysItsOwnIo) {
             4 * single_reads);
 }
 
+// A GET whose partition dies under it fails kUnavailable and is not
+// billed: like PUT, DELETE and SCAN, only requests that completed (found
+// or not found) enter the normalized-request ledger.
+TEST(StorageNodeTest, GetFailedByCrashMidLookupIsNotBilled) {
+  sim::EventLoop loop;
+  StorageNode node(loop, TestOptions());
+  ASSERT_TRUE(node.AddTenant(1, {}).ok());
+  sim::Detach(PreloadFlushed(&node, 300));
+  loop.Run();
+  const auto& tr = node.tracker();
+  const uint64_t reads_before = tr.Stats(1).read_ops;
+  const double billed_before = tr.NormalizedRequestsTotal(1, AppRequest::kGet);
+  bool done = false;
+  Status got;
+  auto get0 = [&]() -> sim::Task<void> {
+    auto r = co_await node.Get(1, "key00000000");
+    got = r.status();
+    done = true;
+  };
+  sim::Detach(get0());
+  // The lookup is parked on table IO; the crash kills its partition.
+  ASSERT_FALSE(done);
+  node.Crash();
+  loop.Run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(got.code(), StatusCode::kUnavailable);
+  EXPECT_GT(tr.Stats(1).read_ops, reads_before);
+  EXPECT_EQ(tr.NormalizedRequestsTotal(1, AppRequest::kGet), billed_before);
+}
+
 TEST(StorageNodeTest, PolicyProvisionsFromReservations) {
   NodeRig rig;
   ASSERT_TRUE(rig.node.AddTenant(1, {1000.0, 0.0}).ok());
