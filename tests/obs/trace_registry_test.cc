@@ -91,7 +91,7 @@ TEST(MetricsRegistryTest, FindOrCreateAndStableRefs) {
   MetricsRegistry reg;
   LatencyHistogram& h = reg.GetHistogram("lat", {1, 2, 0});
   h.Record(100);
-  // Same key returns the same object; different key a different one.
+  // Same key returns the same object.
   EXPECT_EQ(&reg.GetHistogram("lat", {1, 2, 0}), &h);
   EXPECT_EQ(reg.GetHistogram("lat", {1, 2, 0}).count(), 1u);
 
