@@ -51,8 +51,10 @@ sim::Task<void> TenantDriver(sim::EventLoop* loop, cluster::TenantHandle h,
   // the stagger spread even at power-of-two tenant counts).
   co_await sim::SleepFor(*loop, (tenant % 997 + 1) * 10 * kMicrosecond);
   for (int r = 0; r < rounds; ++r) {
-    const std::string key =
-        "m" + std::to_string(tenant) + "_" + std::to_string(r);
+    const std::string key = std::string("m")
+                                .append(std::to_string(tenant))
+                                .append("_")
+                                .append(std::to_string(r));
     const std::string value = workload::MakeValue(key, 256);
     const Status s = co_await h.Put(key, value);
     if (s.ok()) {

@@ -18,6 +18,7 @@
 #include "src/lsm/db.h"
 #include "src/lsm/format.h"
 #include "src/lsm/memtable.h"
+#include "src/lsm/sstable.h"
 #include "src/lsm/wal.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/multi_loop.h"
@@ -321,6 +322,63 @@ void BM_ScanMerge(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(returned));
 }
 BENCHMARK(BM_ScanMerge)->Arg(16)->Arg(128);
+
+// One SSTable round trip per iteration: encode a 4 MiB table of 16-128 KB
+// values, stream it to SimFs in write_chunk appends, then ScanAll it back
+// and drop the file. Tracks the host cost of moving table bytes through the
+// builder, SimFs and the whole-table read compaction uses. Bytes = table
+// bytes written.
+void BM_TableBuildAndScan(benchmark::State& state) {
+  sim::EventLoop loop;
+  ssd::SsdDevice device(loop, ssd::Intel320Profile());
+  iosched::IoScheduler sched(
+      loop, device, std::make_unique<iosched::ExactCostModel>(MicroTable()));
+  sched.SetAllocation(1, 100000.0);
+  fs::SimFs fs(sched, device);
+  lsm::BlockCache cache;
+  const iosched::IoTag tag{1, iosched::AppRequest::kPut,
+                           iosched::InternalOp::kCompact, {}};
+  // Seeded values totalling 4 MiB, shared by every iteration.
+  Rng rng(17);
+  std::vector<std::string> values;
+  uint64_t value_bytes = 0;
+  while (value_bytes < 4 * kMiB) {
+    const uint64_t size = 16 * 1024 + rng.NextU64(112 * 1024 + 1);
+    values.emplace_back(size, static_cast<char>('a' + values.size() % 26));
+    value_bytes += size;
+  }
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < values.size(); ++i) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "key%06zu", i);
+    keys.emplace_back(key);
+  }
+  uint64_t table_bytes = 0;
+  uint64_t scanned = 0;
+  for (auto _ : state) {
+    const fs::FileId file = *fs.Create("bench_sst");
+    sim::Detach([](fs::SimFs* f, fs::FileId id, lsm::BlockCache* c,
+                   const iosched::IoTag* t, const std::vector<std::string>* k,
+                   const std::vector<std::string>* v, uint64_t vbytes,
+                   uint64_t* out) -> sim::Task<void> {
+      lsm::SstableBuilder builder(*f, id);
+      builder.Reserve(k->size(), k->size() * 9, vbytes);
+      for (size_t i = 0; i < k->size(); ++i) {
+        builder.Add((*k)[i], i + 1, lsm::ValueType::kPut, (*v)[i]);
+      }
+      co_await builder.Finish(*t);
+      lsm::SstableReader reader(*f, id, *c);
+      auto count = [out](const lsm::Record& r) { *out += r.value.size(); };
+      co_await reader.ScanAll(*t, count);
+    }(&fs, file, &cache, &tag, &keys, &values, value_bytes, &scanned));
+    loop.Run();
+    table_bytes += fs.SizeOf(file);
+    (void)fs.Delete("bench_sst");
+  }
+  benchmark::DoNotOptimize(scanned);
+  state.SetBytesProcessed(static_cast<int64_t>(table_bytes));
+}
+BENCHMARK(BM_TableBuildAndScan);
 
 // One 16-key MultiGet per iteration through the cluster routing layer,
 // keys resident in memtables (zero simulated IO time): measures the

@@ -208,9 +208,9 @@ sim::Task<Status> SimFs::AppendShared(FileId file,
   co_return Status::Ok();
 }
 
-sim::Task<Status> SimFs::ReadAt(FileId file, const iosched::IoTag& tag,
-                                uint64_t offset, uint64_t length,
-                                std::string* out) {
+sim::Task<StatusOr<std::string_view>> SimFs::ReadAt(
+    FileId file, const iosched::IoTag& tag, uint64_t offset,
+    uint64_t length) {
   File* f = Lookup(file);
   if (f == nullptr) {
     co_return Status::NotFound("bad file id");
@@ -227,8 +227,22 @@ sim::Task<Status> SimFs::ReadAt(FileId file, const iosched::IoTag& tag,
     co_await scheduler_.Read(tag, DiskAddress(*f, pos), len);
     done += len;
   }
-  out->assign(f->data.data() + offset, length);
-  co_return Status::Ok();
+  // The device reads suspended: the file may have been deleted or
+  // truncated meanwhile (a reader that holds no pin on it).
+  f = Lookup(file);
+  if (f == nullptr || offset + length > f->data.size()) {
+    co_return Status::NotFound("file removed during read");
+  }
+  co_return std::string_view(f->data).substr(offset, length);
+}
+
+Status SimFs::Reserve(FileId file, uint64_t bytes) {
+  File* f = Lookup(file);
+  if (f == nullptr) {
+    return Status::NotFound("bad file id");
+  }
+  f->data.reserve(bytes);
+  return Status::Ok();
 }
 
 uint64_t SimFs::SizeOf(FileId file) const {

@@ -73,11 +73,26 @@ class SimFs {
                                  std::vector<iosched::IoShare> manifest,
                                  std::string_view data);
 
-  // Reads [offset, offset+length) into *out (resized). Reading past EOF is
-  // an error.
-  sim::Task<Status> ReadAt(FileId file, const iosched::IoTag& tag,
-                           uint64_t offset, uint64_t length,
-                           std::string* out);
+  // Reads [offset, offset+length) and returns a view of those bytes in the
+  // file itself; nothing is copied. Reading past EOF is an error.
+  //
+  // View lifetime: the view stays valid until the file is deleted,
+  // truncated, or appended to past its reserved size (see Reserve). Other
+  // files' creates, appends and deletes never touch it. An SSTable is never
+  // appended to after its builder finishes and is deleted only when its
+  // last TableRef dies, so a view of a table is valid for as long as the
+  // caller holds the table's ref.
+  sim::Task<StatusOr<std::string_view>> ReadAt(FileId file,
+                                               const iosched::IoTag& tag,
+                                               uint64_t offset,
+                                               uint64_t length);
+
+  // Sizes the file's host buffer for `bytes` in total, so appends up to
+  // that size never move its contents (one allocation for a file whose
+  // final size is known, like a finished table). Host memory only: no
+  // extents, no device IO, and SizeOf / stats() still grow append by
+  // append.
+  Status Reserve(FileId file, uint64_t bytes);
 
   uint64_t SizeOf(FileId file) const;
   FsStats stats() const;

@@ -13,36 +13,40 @@ using iosched::IoTag;
 
 namespace {
 
-bool InternalOrder(const MemTable::Entry& a, const MemTable::Entry& b) {
-  return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
-}
+// Internal-key order over owned memtable entries and record views alike.
+struct InternalOrder {
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return CompareInternalKey(a.key, a.seq, b.key, b.seq) < 0;
+  }
+};
 
 // Sorts by internal key and keeps only the newest version of each user key
-// (and no tombstone, if `drop_tombstones`).
-void MergeNewest(std::vector<MemTable::Entry>* entries, bool drop_tombstones) {
-  std::sort(entries->begin(), entries->end(), InternalOrder);
-  // Compacts in place. Compare against an explicit copy of the previous
-  // user key: its entry may have been moved from, and a dropped tombstone
-  // must still shadow the older versions behind it.
+// (and no tombstone, if `drop_tombstones`). The records are views, so the
+// previous user key is a view of bytes that compacting the vector leaves in
+// place; a dropped tombstone still shadows the older versions behind it.
+void MergeNewest(std::vector<Record>* records, bool drop_tombstones) {
+  std::sort(records->begin(), records->end(), InternalOrder{});
   size_t kept = 0;
-  std::string last_user_key;
+  std::string_view last_user_key;
   bool have_last = false;
-  for (size_t i = 0; i < entries->size(); ++i) {
-    MemTable::Entry& e = (*entries)[i];
-    if (have_last && e.key == last_user_key) {
+  for (size_t i = 0; i < records->size(); ++i) {
+    const Record r = (*records)[i];
+    if (have_last && r.key == last_user_key) {
       continue;  // shadowed older version
     }
-    last_user_key = e.key;
+    last_user_key = r.key;
     have_last = true;
-    if (drop_tombstones && e.type == ValueType::kDelete) {
+    if (drop_tombstones && r.type == ValueType::kDelete) {
       continue;
     }
-    if (kept != i) {
-      (*entries)[kept] = std::move(e);
-    }
-    ++kept;
+    (*records)[kept++] = r;
   }
-  entries->resize(kept);
+  records->resize(kept);
+}
+
+Record ViewOf(const MemTable::Entry& e) {
+  return Record{e.key, e.value, e.seq, e.type};
 }
 
 }  // namespace
@@ -264,12 +268,12 @@ sim::Task<LsmDb::GetResult> LsmDb::Get(std::string_view key, TraceContext ctx) {
     if (mt == nullptr) {
       continue;
     }
-    const MemTable::GetResult r = mt->Get(key, snapshot);
+    MemTable::GetResult r = mt->Get(key, snapshot);
     if (r.found) {
       if (r.deleted) {
         out.status = Status::NotFound("deleted");
       } else {
-        out.value = r.value;
+        out.value = std::move(r.value);
       }
       co_return out;
     }
@@ -467,12 +471,12 @@ std::vector<MemTable::Entry> LsmDb::PinMemtables(std::string_view start,
     }
   }
   // The two memtables interleave: restore internal order across them.
-  std::sort(entries.begin(), entries.end(), InternalOrder);
+  std::sort(entries.begin(), entries.end(), InternalOrder{});
   return entries;
 }
 
 sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
-    const std::vector<MemTable::Entry>& entries, size_t begin, size_t end,
+    const std::vector<Record>& records, size_t begin, size_t end,
     const iosched::IoTag& tag) {
   assert(begin < end);
   auto handle = std::make_shared<TableHandle>();
@@ -493,9 +497,16 @@ sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
   sst_opt.write_chunk_bytes = options_.write_chunk_bytes;
   sst_opt.bloom_bits_per_key = options_.bloom_bits_per_key;
   SstableBuilder builder(fs_, handle->file, sst_opt);
+  uint64_t key_bytes = 0;
+  uint64_t value_bytes = 0;
   for (size_t i = begin; i < end; ++i) {
-    const MemTable::Entry& e = entries[i];
-    builder.Add(e.key, e.seq, e.type, e.value);
+    key_bytes += records[i].key.size();
+    value_bytes += records[i].value.size();
+  }
+  builder.Reserve(end - begin, key_bytes, value_bytes);
+  for (size_t i = begin; i < end; ++i) {
+    const Record& r = records[i];
+    builder.Add(r.key, r.seq, r.type, r.value);
   }
   if (Status s = co_await builder.Finish(tag); !s.ok()) {
     co_return s;
@@ -512,14 +523,15 @@ sim::Task<StatusOr<LsmDb::TableRef>> LsmDb::BuildTable(
 sim::Task<void> LsmDb::FlushJob() {
   while (imm_ != nullptr && !dead_) {
     const SimTime flush_start = loop_.Now();
-    // Collect the sealed memtable in order, gathering the origin spans of
-    // the requests whose bytes this flush persists.
-    std::vector<MemTable::Entry> entries;
-    entries.reserve(imm_->entries());
+    // Collect views of the sealed memtable in order (it is not mutated and
+    // lives until the flush lands), gathering the origin spans of the
+    // requests whose bytes this flush persists.
+    std::vector<Record> records;
+    records.reserve(imm_->entries());
     obs::SpanLinkSet origins;
     MemTable::Iterator it(imm_.get());
     for (it.SeekToFirst(); it.Valid(); it.Next()) {
-      entries.push_back(it.entry());
+      records.push_back(ViewOf(it.entry()));
       origins.Add(it.entry().origin);
     }
     // The flush gets its own span (new trace root when no writer was
@@ -530,8 +542,8 @@ sim::Task<void> LsmDb::FlushJob() {
       tag.ctx = spans->MintAlways();
     }
     uint64_t built_bytes = 0;
-    if (!entries.empty()) {
-      auto built = co_await BuildTable(entries, 0, entries.size(), tag);
+    if (!records.empty()) {
+      auto built = co_await BuildTable(records, 0, records.size(), tag);
       if (dead_) {
         break;  // crash: drop the build (dtor reclaims it), keep the WAL
       }
@@ -737,13 +749,10 @@ sim::Task<Status> LsmDb::RunCompaction(const CompactionPlan& plan) {
   }
 
   // Merge: read every input (sequential COMPACT reads); the newest version
-  // of each user key wins.
-  std::vector<MemTable::Entry> merged;
-  auto collect = [&merged](const Record& rec) {
-    merged.push_back(MemTable::Entry{std::string(rec.key),
-                                     std::string(rec.value), rec.seq,
-                                     rec.type, {}});
-  };
+  // of each user key wins. The records are views of the input tables, which
+  // the plan pins until the outputs are built.
+  std::vector<Record> merged;
+  auto collect = [&merged](const Record& rec) { merged.push_back(rec); };
   for (const TableRef& t : plan.inputs) {
     Status s = co_await t->reader->ScanAll(tag, collect);
     if (dead_) {
@@ -880,14 +889,18 @@ sim::Task<Status> LsmDb::ScanLive(
   }
   const SequenceNumber snapshot = seq_;
   // Pin the version and the memtables' contents before any suspension: the
-  // merge below must see one consistent cut of the tree.
+  // merge below must see one consistent cut of the tree. The records are
+  // views of the pinned memtable copies and of the version's tables.
   const VersionRef base = current_;
-  std::vector<MemTable::Entry> entries = PinMemtables("", "", snapshot);
+  const std::vector<MemTable::Entry> pinned = PinMemtables("", "", snapshot);
+  std::vector<Record> entries;
+  entries.reserve(pinned.size());
+  for (const MemTable::Entry& e : pinned) {
+    entries.push_back(ViewOf(e));
+  }
   auto collect = [&entries, snapshot](const Record& rec) {
     if (rec.seq <= snapshot) {
-      entries.push_back(MemTable::Entry{std::string(rec.key),
-                                        std::string(rec.value), rec.seq,
-                                        rec.type, {}});
+      entries.push_back(rec);
     }
   };
   for (const std::vector<TableRef>& level : base->levels) {
@@ -902,8 +915,8 @@ sim::Task<Status> LsmDb::ScanLive(
     }
   }
   MergeNewest(&entries, /*drop_tombstones=*/true);  // dead keys are not live
-  for (const MemTable::Entry& e : entries) {
-    fn(e.key, e.value);
+  for (const Record& r : entries) {
+    fn(r.key, r.value);
   }
   co_return Status::Ok();
 }
@@ -982,7 +995,7 @@ std::string LsmDb::DebugCheckInvariants() const {
     const auto& files = current_->levels[level];
     for (size_t i = 1; i < files.size(); ++i) {
       if (files[i - 1]->largest >= files[i]->smallest) {
-        return "L" + std::to_string(level) + " overlap: [" +
+        return std::string("L").append(std::to_string(level)) + " overlap: [" +
                files[i - 1]->smallest + "," + files[i - 1]->largest +
                "] vs [" + files[i]->smallest + "," + files[i]->largest + "]";
       }

@@ -339,10 +339,12 @@ class LsmDb {
   std::vector<MemTable::Entry> PinMemtables(std::string_view start,
                                             std::string_view end,
                                             SequenceNumber snapshot) const;
-  // Builds one output table from sorted records [begin, end).
-  sim::Task<StatusOr<TableRef>> BuildTable(
-      const std::vector<MemTable::Entry>& entries, size_t begin, size_t end,
-      const iosched::IoTag& tag);
+  // Builds one output table from sorted records [begin, end). The records
+  // are views (into the sealed memtable or pinned input tables) that must
+  // stay valid until the build returns.
+  sim::Task<StatusOr<TableRef>> BuildTable(const std::vector<Record>& records,
+                                           size_t begin, size_t end,
+                                           const iosched::IoTag& tag);
 
   sim::EventLoop& loop_;
   fs::SimFs& fs_;

@@ -6,12 +6,16 @@
 
 namespace libra::lsm {
 
+void EncodeFixed32(char* dst, uint32_t v) {
+  dst[0] = static_cast<char>(v & 0xFF);
+  dst[1] = static_cast<char>((v >> 8) & 0xFF);
+  dst[2] = static_cast<char>((v >> 16) & 0xFF);
+  dst[3] = static_cast<char>((v >> 24) & 0xFF);
+}
+
 void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
+  EncodeFixed32(buf, v);
   dst->append(buf, 4);
 }
 

@@ -22,6 +22,8 @@ using SequenceNumber = uint64_t;
 
 // --- integer coding (little endian, fixed width) ---
 
+// Writes `v` over the 4 bytes at `dst`.
+void EncodeFixed32(char* dst, uint32_t v);
 void PutFixed32(std::string* dst, uint32_t v);
 void PutFixed64(std::string* dst, uint64_t v);
 

@@ -12,58 +12,76 @@ SstableBuilder::SstableBuilder(fs::SimFs& fs, fs::FileId file,
                                SstableOptions options)
     : fs_(fs), file_(file), options_(options) {}
 
+void SstableBuilder::Reserve(uint64_t entries, uint64_t key_bytes,
+                             uint64_t value_bytes) {
+  // Each record encodes to key + value + 17 bytes. Every block but the last
+  // holds at least block_bytes, and each index entry is its block's last
+  // key + 16 bytes; the filter holds at most one key per entry.
+  const uint64_t data = key_bytes + value_bytes + 17 * entries;
+  const uint64_t blocks =
+      std::min<uint64_t>(entries, data / options_.block_bytes + 1);
+  const uint64_t filter_bits =
+      std::max<uint64_t>(entries * options_.bloom_bits_per_key, 64);
+  const uint64_t filter =
+      options_.bloom_bits_per_key > 0 ? filter_bits / 8 + 2 : 0;
+  buffer_.reserve(data + key_bytes + 16 * blocks + filter + 16);
+}
+
 void SstableBuilder::Add(std::string_view key, SequenceNumber seq,
                          ValueType type, std::string_view value) {
   assert(!finished_);
   if (num_entries_ == 0) {
     smallest_ = std::string(key);
   }
-  largest_ = std::string(key);
   if (options_.bloom_bits_per_key > 0 &&
       (filter_keys_.empty() || filter_keys_.back() != key)) {
     filter_keys_.emplace_back(key);
   }
-  EncodeRecord(&block_, key, seq, type, value);
-  last_key_in_block_ = std::string(key);
+  last_key_offset_ = buffer_.size() + 4;  // past the key's length prefix
+  last_key_size_ = key.size();
+  EncodeRecord(&buffer_, key, seq, type, value);
   ++num_entries_;
-  if (block_.size() >= options_.block_bytes) {
-    FlushBlock();
+  if (buffer_.size() - block_start_ >= options_.block_bytes) {
+    EndBlock();
   }
 }
 
-void SstableBuilder::FlushBlock() {
-  if (block_.empty()) {
+void SstableBuilder::EndBlock() {
+  if (buffer_.size() == block_start_) {
     return;
   }
-  index_.push_back(IndexEntry{last_key_in_block_, buffer_.size(),
-                              static_cast<uint32_t>(block_.size())});
-  buffer_ += block_;
-  block_.clear();
+  index_.push_back(
+      IndexEntry{buffer_.substr(last_key_offset_, last_key_size_), block_start_,
+                 static_cast<uint32_t>(buffer_.size() - block_start_)});
+  block_start_ = buffer_.size();
 }
 
 sim::Task<Status> SstableBuilder::Finish(const iosched::IoTag& tag) {
   assert(!finished_);
   finished_ = true;
-  FlushBlock();
+  EndBlock();
   // Append the index block, the filter block (when filters are on; the
   // footer does not describe it — its region is whatever lies between the
   // index end and the footer, so bits_per_key 0 leaves the file
   // byte-identical to the pre-filter format), and the footer.
   const uint64_t index_offset = buffer_.size();
-  std::string index_block;
   for (const IndexEntry& e : index_) {
-    PutLengthPrefixed(&index_block, e.last_key);
-    PutFixed64(&index_block, e.offset);
-    PutFixed32(&index_block, e.size);
+    PutLengthPrefixed(&buffer_, e.last_key);
+    PutFixed64(&buffer_, e.offset);
+    PutFixed32(&buffer_, e.size);
   }
-  buffer_ += index_block;
+  const uint64_t index_size = buffer_.size() - index_offset;
   if (options_.bloom_bits_per_key > 0) {
     BloomFilterBuild(filter_keys_, options_.bloom_bits_per_key, &buffer_);
   }
   PutFixed64(&buffer_, index_offset);
-  PutFixed64(&buffer_, index_block.size());
+  PutFixed64(&buffer_, index_size);
 
-  // Stream to disk in sequential chunks.
+  // Stream to disk in sequential chunks into a file buffer sized once.
+  if (Status s = fs_.Reserve(file_, fs_.SizeOf(file_) + buffer_.size());
+      !s.ok()) {
+    co_return s;
+  }
   uint64_t written = 0;
   while (written < buffer_.size()) {
     const uint64_t len = std::min<uint64_t>(options_.write_chunk_bytes,
@@ -98,13 +116,13 @@ sim::Task<Status> SstableReader::LoadFooter(const iosched::IoTag& tag) {
   if (size < 16) {
     co_return Status::DataLoss("table too small");
   }
-  std::string footer;
-  Status s = co_await fs_.ReadAt(file_, tag, size - 16, 16, &footer);
-  if (!s.ok()) {
-    co_return s;
+  StatusOr<std::string_view> footer =
+      co_await fs_.ReadAt(file_, tag, size - 16, 16);
+  if (!footer.ok()) {
+    co_return footer.status();
   }
-  index_offset_ = GetFixed64(footer, 0);
-  index_size_ = GetFixed64(footer, 8);
+  index_offset_ = GetFixed64(*footer, 0);
+  index_size_ = GetFixed64(*footer, 8);
   if (index_offset_ + index_size_ + 16 > size) {
     co_return Status::DataLoss("bad footer");
   }
@@ -125,24 +143,23 @@ sim::Task<StatusOr<TableIndexRef>> SstableReader::LoadIndex(
   }
   const uint64_t index_offset = index_offset_;
   const uint64_t index_size = index_size_;
-  Status s;
   // Index read padded to at least a 4KB block — the "at least one (4KB)
   // index block read per file" of §3.1.
-  std::string index_block;
   const uint64_t data_end = index_offset + index_size;
   const uint64_t read_size =
       std::max<uint64_t>(index_size, std::min<uint64_t>(4096, data_end));
   const uint64_t read_off = data_end - read_size;
-  s = co_await fs_.ReadAt(file_, tag, read_off, read_size, &index_block);
-  if (!s.ok()) {
-    co_return s;
+  StatusOr<std::string_view> index_block =
+      co_await fs_.ReadAt(file_, tag, read_off, read_size);
+  if (!index_block.ok()) {
+    co_return index_block.status();
   }
   if (counters_ != nullptr) {
     ++counters_->index_block_reads;
   }
-  // The index proper is the tail of the padded read minus nothing: locate it.
-  const uint64_t skip = index_offset - read_off;
-  std::string_view data(index_block.data() + skip, index_size);
+  // The index proper is the tail of the padded read.
+  const std::string_view data =
+      index_block->substr(index_offset - read_off, index_size);
   auto index = std::make_shared<TableIndex>();
   size_t off = 0;
   while (off < data.size()) {
@@ -189,17 +206,16 @@ sim::Task<StatusOr<CachedBlockRef>> SstableReader::LoadFilter(
   const uint64_t read_size =
       std::max<uint64_t>(filter_size_, std::min<uint64_t>(4096, filter_end));
   const uint64_t read_off = filter_end - read_size;
-  std::string filter_block;
-  Status s = co_await fs_.ReadAt(file_, tag, read_off, read_size,
-                                 &filter_block);
-  if (!s.ok()) {
-    co_return s;
+  StatusOr<std::string_view> filter_block =
+      co_await fs_.ReadAt(file_, tag, read_off, read_size);
+  if (!filter_block.ok()) {
+    co_return filter_block.status();
   }
   if (counters_ != nullptr) {
     ++counters_->filter_block_reads;
   }
   auto block = std::make_shared<CachedBlock>();
-  block->bytes = filter_block.substr(filter_offset - read_off, filter_size_);
+  block->bytes = filter_block->substr(filter_offset - read_off, filter_size_);
   CachedBlockRef ref = std::move(block);
   cache_.Insert(tenant_, table_, BlockCache::Kind::kFilter, 0, ref,
                 filter_size_);
@@ -254,7 +270,7 @@ sim::Task<SstableReader::GetResult> SstableReader::Get(
   }
   const uint64_t block_off = std::get<1>(*it);
   CachedBlockRef data_ref;
-  std::string local_block;
+  std::string_view block;  // the cached copy, else a view of the file
   const bool data_cached = cache_.caches_data();
   if (data_cached) {
     data_ref = cache_.Get(tenant_, table_, BlockCache::Kind::kData, block_off);
@@ -263,26 +279,26 @@ sim::Task<SstableReader::GetResult> SstableReader::Get(
     if (counters_ != nullptr) {
       ++counters_->data_cache_hits;  // zero device IO
     }
+    block = data_ref->bytes;
   } else {
-    result.status = co_await fs_.ReadAt(file_, tag, block_off,
-                                        std::get<2>(*it), &local_block);
-    if (!result.status.ok()) {
+    StatusOr<std::string_view> read =
+        co_await fs_.ReadAt(file_, tag, block_off, std::get<2>(*it));
+    if (!read.ok()) {
+      result.status = read.status();
       co_return result;
     }
     if (counters_ != nullptr) {
       ++counters_->data_block_reads;
     }
+    block = *read;
     if (data_cached) {
       auto filled = std::make_shared<CachedBlock>();
-      filled->bytes = std::move(local_block);
+      filled->bytes = std::string(block);
       cache_.Insert(tenant_, table_, BlockCache::Kind::kData, block_off,
                     filled, filled->bytes.size());
       data_ref = std::move(filled);
     }
   }
-  const std::string_view block =
-      data_ref != nullptr ? std::string_view(data_ref->bytes)
-                          : std::string_view(local_block);
   // Scan the block for the newest visible entry (records are in internal
   // order: the first match with seq <= snapshot wins).
   size_t off = 0;
@@ -324,11 +340,12 @@ sim::Task<Status> SstableReader::RangeCursor::SkipTo(std::string_view start,
       co_return Status::Ok();  // clean end of table, cursor invalid
     }
     const auto& entry = (*index_)[next_block_];
-    Status s = co_await fs_.ReadAt(file_, tag_, std::get<1>(entry),
-                                   std::get<2>(entry), &block_);
-    if (!s.ok()) {
-      co_return s;
+    StatusOr<std::string_view> read = co_await fs_.ReadAt(
+        file_, tag_, std::get<1>(entry), std::get<2>(entry));
+    if (!read.ok()) {
+      co_return read.status();
     }
+    block_ = *read;
     offset_ = 0;
     ++next_block_;
   }
@@ -372,24 +389,29 @@ sim::Task<Status> SstableReader::ScanAll(
   if (index.empty()) {
     co_return Status::Ok();
   }
-  Status s;
   const uint64_t data_end =
       std::get<1>(index.back()) + std::get<2>(index.back());
-  std::string data;
+  // The chunks are consecutive views of one file, so the first one's start
+  // begins a view of the whole data section.
+  const char* data_start = nullptr;
   uint64_t pos = 0;
   while (pos < data_end) {
     const uint64_t len =
         std::min<uint64_t>(options_.write_chunk_bytes, data_end - pos);
-    std::string chunk;
-    s = co_await fs_.ReadAt(file_, tag, pos, len, &chunk);
-    if (!s.ok()) {
-      co_return s;
+    StatusOr<std::string_view> chunk =
+        co_await fs_.ReadAt(file_, tag, pos, len);
+    if (!chunk.ok()) {
+      co_return chunk.status();
     }
-    data += chunk;
+    if (data_start == nullptr) {
+      data_start = chunk->data();
+    }
+    assert(chunk->data() == data_start + pos);
     pos += len;
   }
   // Records never span blocks and blocks are contiguous, so a single
   // linear decode covers the whole data section.
+  const std::string_view data(data_start, data_end);
   size_t off = 0;
   Record rec;
   while (off < data.size() && DecodeRecord(data, &off, &rec)) {

@@ -25,8 +25,14 @@
 // cache, and caches no data block — data blocks then always hit the device,
 // since O_DIRECT leaves no page cache.
 //
-// The builder emits the table through a sequential, chunked append stream
-// (the paper's "asynchronous, io-efficient" FLUSH/COMPACT writes).
+// The builder encodes records straight into one output buffer and emits
+// the table through a sequential, chunked append stream (the paper's
+// "asynchronous, io-efficient" FLUSH/COMPACT writes).
+//
+// Readers decode from views of the file's bytes (SimFs::ReadAt copies
+// nothing). A table is immutable once its builder finishes and is deleted
+// only when its last TableRef dies, so a record view from Get, a cursor or
+// ScanAll stays valid for as long as the caller holds the table's ref.
 
 #ifndef LIBRA_SRC_LSM_SSTABLE_H_
 #define LIBRA_SRC_LSM_SSTABLE_H_
@@ -65,10 +71,15 @@ struct TableReadCounters {
   uint64_t data_cache_hits = 0;        // GET data blocks served by the cache
 };
 
-// Builds a table in memory block by block; Finish() streams it to `file`.
+// Encodes a table into one in-memory buffer; Finish() streams it to `file`.
 class SstableBuilder {
  public:
   SstableBuilder(fs::SimFs& fs, fs::FileId file, SstableOptions options = {});
+
+  // Sizes the output buffer for `entries` records holding `key_bytes` and
+  // `value_bytes` in total (an upper bound on the finished table), so it is
+  // allocated once instead of regrown. Call before the first Add.
+  void Reserve(uint64_t entries, uint64_t key_bytes, uint64_t value_bytes);
 
   // Keys must arrive in internal order (user key asc, seq desc).
   void Add(std::string_view key, SequenceNumber seq, ValueType type,
@@ -77,20 +88,26 @@ class SstableBuilder {
   // Writes all pending data to the file with `tag` IO. No Adds afterwards.
   sim::Task<Status> Finish(const iosched::IoTag& tag);
 
-  uint64_t estimated_bytes() const { return buffer_.size() + block_.size(); }
   uint64_t num_entries() const { return num_entries_; }
   const std::string& smallest_key() const { return smallest_; }
-  const std::string& largest_key() const { return largest_; }
+  std::string_view largest_key() const {
+    return std::string_view(buffer_).substr(last_key_offset_, last_key_size_);
+  }
 
  private:
-  void FlushBlock();
+  // Closes the open data block (if it holds any record) in the index.
+  void EndBlock();
 
   fs::SimFs& fs_;
   fs::FileId file_;
   SstableOptions options_;
 
-  std::string buffer_;  // completed data blocks
-  std::string block_;   // current data block
+  std::string buffer_;      // the table: finished blocks, then the open one
+  size_t block_start_ = 0;  // offset of the open data block in buffer_
+  // The last record's key, as a range of buffer_ (the open block's last
+  // key once it closes, and the table's largest key).
+  size_t last_key_offset_ = 0;
+  size_t last_key_size_ = 0;
   struct IndexEntry {
     std::string last_key;
     uint64_t offset;
@@ -101,9 +118,7 @@ class SstableBuilder {
   // of one key adjacent, so adjacent-dup skipping suffices). Collected only
   // when bloom_bits_per_key > 0.
   std::vector<std::string> filter_keys_;
-  std::string last_key_in_block_;
   std::string smallest_;
-  std::string largest_;
   uint64_t num_entries_ = 0;
   bool finished_ = false;
 };
@@ -148,8 +163,8 @@ class SstableReader {
   class RangeCursor {
    public:
     bool Valid() const { return valid_; }
-    // The current record; views point into the cursor's resident block and
-    // are invalidated by Next(). Requires Valid().
+    // The current record; its views point into the table file and stay
+    // valid while the caller holds the table's ref. Requires Valid().
     const Record& record() const { return record_; }
     // Advances to the next record in internal-key order, reading the next
     // data block when the current one is exhausted. Clears Valid() past
@@ -171,8 +186,8 @@ class SstableReader {
     iosched::IoTag tag_;
     TableIndexRef index_;
     size_t next_block_ = 0;  // index of the next data block to load
-    std::string block_;      // resident data block backing record_'s views
-    size_t offset_ = 0;      // decode position within block_
+    std::string_view block_;  // current data block, a view of the file
+    size_t offset_ = 0;       // decode position within block_
     Record record_;
     bool valid_ = false;
   };
@@ -183,8 +198,9 @@ class SstableReader {
   sim::Task<StatusOr<std::unique_ptr<RangeCursor>>> Seek(
       const iosched::IoTag& tag, std::string_view start);
 
-  // Sequential scan for compaction: reads the whole table in write_chunk
-  // sized IOs and yields records in order via `fn`.
+  // Sequential scan for compaction: reads the whole data section in
+  // write_chunk sized IOs, then yields its records in order via `fn`. The
+  // records are views of the table file (valid while its ref is held).
   sim::Task<Status> ScanAll(
       const iosched::IoTag& tag,
       const std::function<void(const Record&)>& fn);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 namespace libra::obs {
 
@@ -32,9 +33,49 @@ uint64_t LatencyHistogram::SlotWidth(int slot) {
   return 1ULL << shift;
 }
 
+LatencyHistogram::LatencyHistogram(const LatencyHistogram& other) {
+  *this = other;
+}
+
+LatencyHistogram& LatencyHistogram::operator=(const LatencyHistogram& other) {
+  if (this == &other) {
+    return *this;
+  }
+  count_ = other.count_;
+  min_ = other.min_;
+  max_ = other.max_;
+  sum_ = other.sum_;
+  if (other.counts_ == nullptr) {
+    counts_.reset();
+  } else {
+    if (counts_ == nullptr) {
+      counts_ = std::make_unique<uint32_t[]>(kNumSlots);
+    }
+    std::copy_n(other.counts_.get(), kNumSlots, counts_.get());
+  }
+  return *this;
+}
+
+LatencyHistogram::LatencyHistogram(LatencyHistogram&& other) noexcept {
+  *this = std::move(other);
+}
+
+LatencyHistogram& LatencyHistogram::operator=(
+    LatencyHistogram&& other) noexcept {
+  count_ = std::exchange(other.count_, 0);
+  min_ = std::exchange(other.min_, UINT64_MAX);
+  max_ = std::exchange(other.max_, 0);
+  sum_ = std::exchange(other.sum_, 0.0);
+  counts_ = std::move(other.counts_);
+  return *this;
+}
+
 void LatencyHistogram::RecordN(uint64_t value, uint64_t n) {
   if (n == 0) {
     return;
+  }
+  if (counts_ == nullptr) {
+    counts_ = std::make_unique<uint32_t[]>(kNumSlots);  // zeroed
   }
   uint32_t& slot = counts_[SlotFor(value)];
   slot = static_cast<uint32_t>(
@@ -67,10 +108,14 @@ uint64_t LatencyHistogram::Percentile(double p) const {
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (int s = 0; s < kNumSlots; ++s) {
-    counts_[s] = static_cast<uint32_t>(
-        std::min<uint64_t>(static_cast<uint64_t>(counts_[s]) + other.counts_[s],
-                           UINT32_MAX));
+  if (other.counts_ != nullptr) {
+    if (counts_ == nullptr) {
+      counts_ = std::make_unique<uint32_t[]>(kNumSlots);
+    }
+    for (int s = 0; s < kNumSlots; ++s) {
+      counts_[s] = static_cast<uint32_t>(std::min<uint64_t>(
+          static_cast<uint64_t>(counts_[s]) + other.counts_[s], UINT32_MAX));
+    }
   }
   count_ += other.count_;
   sum_ += other.sum_;
@@ -79,7 +124,7 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
 }
 
 void LatencyHistogram::Reset() {
-  counts_.fill(0);
+  counts_.reset();
   count_ = 0;
   sum_ = 0.0;
   min_ = UINT64_MAX;

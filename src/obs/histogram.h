@@ -4,10 +4,12 @@
 // binned into power-of-two octaves, each subdivided into 2^kSubBucketBits
 // linear sub-buckets, so relative error is bounded by 1/2^kSubBucketBits
 // (~3%) across the whole range while values below 2*kSubBuckets are recorded
-// exactly. Storage is one fixed-size count array — Record() is a handful of
-// ALU ops and never allocates, which is what lets the IO scheduler keep a
-// histogram per (tenant, app request, internal op) on its hot path without
-// perturbing the benchmark shapes it exists to measure.
+// exactly. Storage is one fixed-size count array, allocated by the first
+// Record() (a histogram that never records costs only its header, which
+// matters with one per tenant, node and request class); after that Record()
+// is a handful of ALU ops and never allocates, which is what lets the IO
+// scheduler keep a histogram per (tenant, app request, internal op) on its
+// hot path without perturbing the benchmark shapes it exists to measure.
 //
 // Percentile queries scan the cumulative counts and report the bucket's
 // upper bound, clamped into [min, max] so Percentile(0) and Percentile(1)
@@ -18,8 +20,8 @@
 #ifndef LIBRA_SRC_OBS_HISTOGRAM_H_
 #define LIBRA_SRC_OBS_HISTOGRAM_H_
 
-#include <array>
 #include <cstdint>
+#include <memory>
 
 namespace libra::obs {
 
@@ -43,6 +45,13 @@ class LatencyHistogram {
   // Number of distinct values mapping to `slot` (1 below 2*kSubBuckets).
   static uint64_t SlotWidth(int slot);
 
+  LatencyHistogram() = default;
+  LatencyHistogram(const LatencyHistogram& other);
+  LatencyHistogram& operator=(const LatencyHistogram& other);
+  // A moved-from histogram is empty.
+  LatencyHistogram(LatencyHistogram&& other) noexcept;
+  LatencyHistogram& operator=(LatencyHistogram&& other) noexcept;
+
   void Record(uint64_t value) { RecordN(value, 1); }
   void RecordN(uint64_t value, uint64_t n);
 
@@ -65,6 +74,9 @@ class LatencyHistogram {
   // Iterates non-empty buckets in value order: fn(lower_bound, width, count).
   template <typename Fn>
   void ForEachBucket(Fn&& fn) const {
+    if (counts_ == nullptr) {
+      return;
+    }
     for (int s = 0; s < kNumSlots; ++s) {
       if (counts_[s] != 0) {
         fn(SlotLowerBound(s), SlotWidth(s), counts_[s]);
@@ -78,13 +90,12 @@ class LatencyHistogram {
   // on every completion — the smaller footprint roughly halves the cache/TLB
   // pages that path touches. Slots saturate at UINT32_MAX (~4.3e9 samples in
   // one bucket; unreachable in practice) while count_/sum_ stay exact.
-  // Metadata first: a Record() touches this header plus one slot, and with
-  // the header at offset 0 both usually land in the same page.
   uint64_t count_ = 0;
   uint64_t min_ = UINT64_MAX;
   uint64_t max_ = 0;
   double sum_ = 0.0;
-  std::array<uint32_t, kNumSlots> counts_{};
+  // kNumSlots counters; null until the first sample (all zero).
+  std::unique_ptr<uint32_t[]> counts_;
 };
 
 }  // namespace libra::obs

@@ -319,7 +319,8 @@ std::string SpansToChromeTraceJson(const std::vector<SpanExportGroup>& groups) {
       const IndexedSpan dst{&s, groups[gi].pid};
       if (s.parent_span != 0) {
         if (const auto it = index.find(s.parent_span); it != index.end()) {
-          WriteFlowPair(w, "p" + HexId(s.span_id), it->second, dst);
+          WriteFlowPair(w, std::string("p").append(HexId(s.span_id)),
+                        it->second, dst);
         }
       }
       for (uint32_t li = 0; li < s.links.count; ++li) {
@@ -327,9 +328,11 @@ std::string SpansToChromeTraceJson(const std::vector<SpanExportGroup>& groups) {
         if (it == index.end()) {
           continue;
         }
-        WriteFlowPair(
-            w, "l" + HexId(s.links.items[li].span_id) + "." + HexId(s.span_id),
-            it->second, dst);
+        std::string flow_id = "l";
+        flow_id += HexId(s.links.items[li].span_id);
+        flow_id += '.';
+        flow_id += HexId(s.span_id);
+        WriteFlowPair(w, flow_id, it->second, dst);
       }
     }
   }

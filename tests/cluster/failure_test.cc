@@ -55,8 +55,8 @@ struct ClusterRig {
   }
 };
 
-std::string Key(int i) { return "k" + std::to_string(i); }
-std::string Val(int i) { return "v" + std::to_string(i); }
+std::string Key(int i) { return std::string("k").append(std::to_string(i)); }
+std::string Val(int i) { return std::string("v").append(std::to_string(i)); }
 
 // Sum of `tenant`'s local reservations across currently-alive nodes. Dead
 // nodes are excluded: their policies keep the stale pre-crash share, which

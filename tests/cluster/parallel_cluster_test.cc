@@ -59,8 +59,8 @@ struct ParallelRig {
   }
 };
 
-std::string Key(int i) { return "k" + std::to_string(i); }
-std::string Val(int i) { return "v" + std::to_string(i); }
+std::string Key(int i) { return std::string("k").append(std::to_string(i)); }
+std::string Val(int i) { return std::string("v").append(std::to_string(i)); }
 
 // Coroutines that outlive their spawning statement are free functions
 // taking parameters by value (a capturing lambda's closure dies at the end

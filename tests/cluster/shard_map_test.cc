@@ -88,7 +88,7 @@ TEST(ShardMapTest, RehomeOverridesRing) {
   EXPECT_EQ(map.HomeOf(10, slot), ShardMap(ShardMapOptions{}).HomeOf(10, slot));
   // NodeOfKey follows the override for keys in the slot.
   for (int i = 0; i < 1000; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = std::string("k").append(std::to_string(i));
     if (map.SlotOfKey(key) == slot) {
       EXPECT_EQ(map.NodeOfKey(9, key), target);
     }

@@ -104,8 +104,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 16u, 128u),
                        ::testing::Values(1u, 16u, 128u)),
     [](const ::testing::TestParamInfo<ShapeParam>& info) {
-      return "r" + std::to_string(std::get<0>(info.param)) + "k_w" +
-             std::to_string(std::get<1>(info.param)) + "k";
+      return std::string("r")
+          .append(std::to_string(std::get<0>(info.param)))
+          .append("k_w")
+          .append(std::to_string(std::get<1>(info.param)))
+          .append("k");
     });
 
 }  // namespace

@@ -86,7 +86,10 @@ std::vector<FuzzRecord> MakeRecords(int case_id, int count, uint64_t* rng) {
   out.reserve(count);
   for (int i = 0; i < count; ++i) {
     FuzzRecord r;
-    r.key = "k" + std::to_string(case_id) + "_" + std::to_string(i);
+    r.key = std::string("k")
+                .append(std::to_string(case_id))
+                .append("_")
+                .append(std::to_string(i));
     r.seq = static_cast<SequenceNumber>(i + 1);
     r.type = (SplitMix(rng) % 4 == 0) ? ValueType::kDelete : ValueType::kPut;
     if (r.type == ValueType::kPut) {

@@ -111,8 +111,9 @@ TEST(WalGroupCommitTest, ConcurrentAppendsCoalesceAndReplayInArrivalOrder) {
   ASSERT_TRUE(wal.Open().ok());
   constexpr int kN = 8;
   auto append = [&](int i) -> sim::Task<void> {
+    const std::string value = std::string("v").append(std::to_string(i));
     EXPECT_TRUE((co_await wal.Append(kPutTag, Wk(i), i + 1, ValueType::kPut,
-                                     "v" + std::to_string(i)))
+                                     value))
                     .ok());
   };
   for (int i = 0; i < kN; ++i) {

@@ -174,7 +174,7 @@ TEST(MultiLoopTest, ExchangeOrdersBySenderThenSendOrderAtEqualTimestamps) {
   // t=10; sender 3 sends twice to exercise the per-sender seq tie-break.
   for (int from = 3; from >= 1; --from) {
     ml.Send(from, 0, 10, [&order, from] {
-      order.push_back("s" + std::to_string(from) + "a");
+      order.push_back(std::string("s").append(std::to_string(from)) + "a");
     });
   }
   ml.Send(3, 0, 10, [&order] { order.push_back("s3b"); });
