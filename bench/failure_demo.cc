@@ -135,7 +135,6 @@ int RunDemo(const BenchArgs& args, uint64_t seed) {
   copt.replication_factor = 2;
   copt.retry.max_retries = 16;
   copt.retry.initial_backoff = 1 * kMillisecond;
-  copt.retry.backoff_multiplier = 2.0;
   copt.retry.deadline = 2 * kSecond;
   std::unique_ptr<Cluster> cl_holder = MakeCluster(rig, copt);
   Cluster& cl = *cl_holder;

@@ -13,13 +13,12 @@ kv::NodeOptions PrototypeNodeOptions() {
 }
 
 void ApplyTraceFlags(const BenchArgs& args, kv::NodeOptions& options,
-                     size_t span_capacity, uint64_t id_seed) {
+                     size_t span_capacity) {
   if (!TraceRequested(args)) {
     return;
   }
   options.scheduler_options.span_capacity = span_capacity;
   options.scheduler_options.span_sample_every = args.trace_sample;
-  options.scheduler_options.span_id_seed = id_seed;
 }
 
 void RunPreloads(sim::EventLoop& loop,

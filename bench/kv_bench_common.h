@@ -23,11 +23,11 @@ kv::NodeOptions PrototypeNodeOptions();
 
 // Applies --trace-json/--trace-sample to a node's scheduler options: span
 // collection on (capacity `span_capacity`) when tracing was requested,
-// sampling 1 of every args.trace_sample root requests. Leave id seeding to
-// Cluster for multi-node benches; single-node benches can pass a nonzero
-// `id_seed` to namespace ids per node themselves.
+// sampling 1 of every args.trace_sample root requests. Span ids stay in
+// namespace 0; Cluster re-namespaces each node's collector
+// (SpanCollector::SeedIds) for multi-node benches.
 void ApplyTraceFlags(const BenchArgs& args, kv::NodeOptions& options,
-                     size_t span_capacity = 1 << 16, uint64_t id_seed = 0);
+                     size_t span_capacity = 1 << 16);
 
 // Runs `preloads` to completion on `loop` (sequentially).
 void RunPreloads(sim::EventLoop& loop,

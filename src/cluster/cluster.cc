@@ -20,6 +20,25 @@ namespace {
 // Simulated time, so the only cost is a handful of extra events.
 constexpr SimDuration kGatePoll = 200 * kMicrosecond;
 
+// Ring placement seed; any change reshuffles every placement.
+constexpr uint64_t kPlacementSeed = 0x11b7a5eed;
+
+// Admission prices a normalized request at the cost model's price times this
+// factor, a stand-in for amplification not yet observed at admission time.
+constexpr double kAdmissionHeadroom = 1.0;
+
+// Retry backoff grows by this factor after every attempt.
+constexpr double kBackoffMultiplier = 2.0;
+
+ShardMapOptions MapOptions(const ClusterOptions& options) {
+  ShardMapOptions m;
+  m.num_nodes = options.num_nodes;
+  m.shards_per_tenant = options.shards_per_tenant;
+  m.seed = kPlacementSeed;
+  m.replication_factor = options.replication_factor;
+  return m;
+}
+
 Status ValidateGlobal(const GlobalReservation& r) {
   for (int a = iosched::kFirstAppRequest; a < iosched::kNumAppRequests; ++a) {
     const auto app = static_cast<AppRequest>(a);
@@ -85,7 +104,7 @@ struct RetryState {
       co_await sim::SleepFor(*loop, sleep);
     }
     backoff = static_cast<SimDuration>(static_cast<double>(backoff) *
-                                       policy->backoff_multiplier);
+                                       kBackoffMultiplier);
   }
 
   Status DeadlineError(const Status& last) const {
@@ -237,11 +256,7 @@ sim::Task<Result<ScanEntries>> TenantHandle::Scan(const std::string& start,
 Cluster::Cluster(sim::EventLoop& loop, ClusterOptions options)
     : loop_(loop),
       options_(std::move(options)),
-      shard_map_(ShardMapOptions{options_.num_nodes,
-                                 options_.shards_per_tenant,
-                                 options_.vnodes_per_node,
-                                 options_.placement_seed,
-                                 options_.replication_factor}) {
+      shard_map_(MapOptions(options_)) {
   assert(options_.rpc_latency == 0 &&
          "rpc_latency requires the MultiLoop constructor");
   Init(nullptr);
@@ -251,11 +266,7 @@ Cluster::Cluster(sim::MultiLoop& engine, ClusterOptions options)
     : loop_(engine.loop(0)),
       multi_(&engine),
       options_(std::move(options)),
-      shard_map_(ShardMapOptions{options_.num_nodes,
-                                 options_.shards_per_tenant,
-                                 options_.vnodes_per_node,
-                                 options_.placement_seed,
-                                 options_.replication_factor}) {
+      shard_map_(MapOptions(options_)) {
   assert(engine.num_loops() == options_.num_nodes + 1 &&
          "parallel cluster needs one loop per node plus the coordinator");
   assert(options_.rpc_latency > 0 &&
@@ -493,7 +504,7 @@ double Cluster::AdmissionPrice(AppRequest app) const {
       type = ssd::IoType::kWrite;
       break;
   }
-  return model.Cost(type, 1024) * options_.admission_headroom;
+  return model.Cost(type, 1024) * kAdmissionHeadroom;
 }
 
 double Cluster::PricedVops(const Reservation& r) const {

@@ -57,17 +57,10 @@ using GlobalReservation = iosched::Reservation;
 // A cluster-level range-scan result: live (key, value) pairs in key order.
 using ScanEntries = std::vector<std::pair<std::string, std::string>>;
 
+// Demand smoothing, the split floor and the anti-thrash band are
+// constants of global_provisioner.cc (kDemandAlpha, kMinShare, kHysteresis).
 struct GlobalProvisionerOptions {
   SimDuration interval = 1 * kSecond;
-  // EWMA weight for per-(tenant, node) demand smoothing.
-  double demand_alpha = 0.3;
-  // A new split is applied only when some node's share of the global
-  // reservation moves by more than this fraction of the global rate —
-  // the anti-thrash hysteresis band.
-  double hysteresis = 0.05;
-  // Every hosting node keeps at least this fraction of the global
-  // reservation, so a shard that goes quiet can still ramp back up.
-  double min_share = 0.02;
   // Consecutive overbooked provisioning intervals on one node before a
   // shard migration fires; <= 0 disables automatic migration.
   int overbook_intervals_before_migration = 3;
@@ -80,8 +73,8 @@ struct GlobalProvisionerOptions {
 // retry entirely (one attempt, no sleeps) — the pre-replication behavior.
 struct RetryPolicy {
   int max_retries = 0;  // additional attempts after the first
+  // Doubles after every retry (kBackoffMultiplier in cluster.cc).
   SimDuration initial_backoff = 1 * kMillisecond;
-  double backoff_multiplier = 2.0;
   // Per-request wall budget across all attempts; 0 = unbounded. When the
   // budget runs out the request fails with kDeadlineExceeded (it never
   // hangs); before that, exhausting max_retries surfaces the last
@@ -107,8 +100,6 @@ class RpcFaultInjector {
 struct ClusterOptions {
   int num_nodes = 4;
   int shards_per_tenant = 8;
-  int vnodes_per_node = 64;
-  uint64_t placement_seed = 0x11b7a5eed;
   // Replicas per shard slot (leader + rf-1 ring followers on distinct
   // nodes; see ShardMap::ReplicasOf). At RF>1 writes fan out to every live
   // replica (acked when at least one replica acked), reads fail over to
@@ -121,10 +112,10 @@ struct ClusterOptions {
   // Admission control: a tenant is admitted only if, on every node hosting
   // its shards, already-provisioned VOP demand plus the tenant's share
   // stays within this fraction of the node's capacity floor. Demand is
-  // priced at the cost model's normalized-request price times the headroom
-  // factor (a stand-in for unobserved amplification at admission time).
+  // priced at the cost model's normalized-request price times
+  // kAdmissionHeadroom (cluster.cc; a stand-in for unobserved amplification
+  // at admission time).
   double admission_utilization = 0.95;
-  double admission_headroom = 1.0;
   // Disables the admission check entirely (AddTenant/UpdateGlobalReservation
   // always admit); consolidation experiments that only study steady-state
   // scheduling turn it off. The check itself reads per-node ledgers of

@@ -8,9 +8,7 @@
 //    node call may be dropped (surfacing kUnavailable — the failover/retry
 //    path) or delayed by a uniform draw from [delay_min, delay_max];
 //  - SSD faults: InjectGcStall pushes a node's device into a synchronous
-//    garbage-collection pause, and DeviceOptions.latent_read_error_rate (set
-//    at construction) makes reads occasionally pay a checksum-verified
-//    re-read.
+//    garbage-collection pause.
 //
 // Everything draws from one splitmix64 stream per injector, so two runs
 // with the same seed and the same call sequence inject byte-identical

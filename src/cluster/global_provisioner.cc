@@ -11,6 +11,16 @@ namespace libra::cluster {
 
 namespace {
 
+// EWMA weight for per-(tenant, node) demand smoothing.
+constexpr double kDemandAlpha = 0.3;
+// A new split is applied only when some node's share of the global
+// reservation moves by more than this fraction of the global rate — the
+// anti-thrash hysteresis band.
+constexpr double kHysteresis = 0.05;
+// Every hosting node keeps at least this fraction of the global
+// reservation, so a shard that goes quiet can still ramp back up.
+constexpr double kMinShare = 0.02;
+
 uint64_t DemandKey(iosched::TenantId tenant, int node) {
   return (static_cast<uint64_t>(tenant) << 32) | static_cast<uint32_t>(node);
 }
@@ -104,7 +114,7 @@ void GlobalProvisioner::UpdateDemand(iosched::TenantId tenant,
                                      int node_index) {
   const auto& tracker = cluster_.nodes_[node_index]->tracker();
   auto [it, created] = demand_.try_emplace(DemandKey(tenant, node_index),
-                                           options_.demand_alpha);
+                                           kDemandAlpha);
   NodeDemand& d = it->second;
   const double elapsed =
       last_step_time_ < 0 ? 0.0 : ToSeconds(loop_.Now() - last_step_time_);
@@ -159,7 +169,7 @@ void GlobalProvisioner::ResplitTenant(iosched::TenantId tenant) {
 
   // Demand-proportional shares per request class, falling back to
   // slot-proportional while a class is entirely unobserved, floored at
-  // min_share and renormalized so every hosting node can ramp back up.
+  // kMinShare and renormalized so every hosting node can ramp back up.
   const size_t k = hosting.size();
   std::vector<std::vector<double>> class_demand(
       iosched::kNumAppRequests, std::vector<double>(k, 0.0));
@@ -182,7 +192,7 @@ void GlobalProvisioner::ResplitTenant(iosched::TenantId tenant) {
       s[i] = total > 1e-9
                  ? demand[i] / total
                  : static_cast<double>(slots[hosting[i]]) / total_slots;
-      s[i] = std::max(s[i], options_.min_share);
+      s[i] = std::max(s[i], kMinShare);
       sum += s[i];
     }
     for (double& v : s) {
@@ -235,7 +245,7 @@ void GlobalProvisioner::ResplitTenant(iosched::TenantId tenant) {
   }
   const double denom = std::max(1.0, global.Total());
   if (!hosting_changed && !current.empty() &&
-      max_change / denom < options_.hysteresis) {
+      max_change / denom < kHysteresis) {
     return;
   }
 

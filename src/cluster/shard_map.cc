@@ -35,11 +35,9 @@ uint64_t OverrideKey(uint32_t tenant, int slot) {
 ShardMap::ShardMap(ShardMapOptions options) : options_(options) {
   assert(options_.num_nodes > 0);
   assert(options_.shards_per_tenant > 0);
-  assert(options_.vnodes_per_node > 0);
-  ring_.reserve(static_cast<size_t>(options_.num_nodes) *
-                static_cast<size_t>(options_.vnodes_per_node));
+  ring_.reserve(static_cast<size_t>(options_.num_nodes) * kVnodesPerNode);
   for (int n = 0; n < options_.num_nodes; ++n) {
-    for (int v = 0; v < options_.vnodes_per_node; ++v) {
+    for (int v = 0; v < kVnodesPerNode; ++v) {
       const uint64_t point =
           Mix64(options_.seed ^ (static_cast<uint64_t>(n) * 0x9e3779b1ULL) ^
                 (static_cast<uint64_t>(v) << 32));

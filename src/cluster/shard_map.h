@@ -2,7 +2,7 @@
 //
 // Each tenant's keyspace is divided into a fixed number of shard slots
 // (slot = hash(key) mod shards_per_tenant); slots are placed on nodes by
-// consistent hashing: every node projects `vnodes_per_node` points onto a
+// consistent hashing: every node projects kVnodesPerNode points onto a
 // 64-bit ring, and a (tenant, slot) pair homes on the first node point at or
 // after its own ring position. The construction is a pure function of the
 // options, so two maps built from the same spec agree on every placement —
@@ -22,12 +22,13 @@
 
 namespace libra::cluster {
 
+// Virtual points per node on the hash ring; more points smooth the
+// slot-count imbalance between nodes.
+inline constexpr int kVnodesPerNode = 64;
+
 struct ShardMapOptions {
   int num_nodes = 4;
   int shards_per_tenant = 8;
-  // Virtual points per node on the hash ring; more points smooth the
-  // slot-count imbalance between nodes.
-  int vnodes_per_node = 64;
   uint64_t seed = 0x11b7a5eed;  // any change reshuffles every placement
   // Replicas per slot: the leader plus rf-1 followers on distinct nodes
   // (the next distinct nodes walking the ring from the slot's position).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "src/common/rng.h"
 #include "src/iosched/cost_model.h"
@@ -14,6 +13,13 @@
 
 namespace libra::iosched {
 namespace {
+
+constexpr int kProbeTenants = 8;
+constexpr int kProbeWorkersPerTenant = 4;  // 8 x 4 = queue depth 32
+constexpr uint64_t kProbeSeed = 17;
+// The probed grid: read fractions x read IOP sizes x write IOP sizes.
+constexpr double kProbeReadFractions[] = {0.75, 0.5, 0.25};
+constexpr uint32_t kProbeSizesKb[] = {1, 4, 16, 64, 256};
 
 struct ProbeCell {
   double read_frac;
@@ -54,14 +60,14 @@ double RunCell(const ssd::DeviceProfile& profile,
   device.Prefill(ws);
   IoScheduler sched(loop, device, std::make_unique<ExactCostModel>(table));
 
-  Rng rng(options.seed);
+  Rng rng(kProbeSeed);
   const SimTime end_time = options.warmup + options.measure;
   double vops_at_warmup = 0.0;
   {
     sim::TaskGroup group(loop);
-    for (int t = 0; t < options.num_tenants; ++t) {
+    for (int t = 0; t < kProbeTenants; ++t) {
       sched.SetAllocation(t, 1000.0);  // equal allocations
-      for (int w = 0; w < options.workers_per_tenant; ++w) {
+      for (int w = 0; w < kProbeWorkersPerTenant; ++w) {
         group.Spawn(ProbeWorker(loop, sched, static_cast<TenantId>(t), cell,
                                 ws, rng, end_time));
       }
@@ -82,19 +88,10 @@ double RunCell(const ssd::DeviceProfile& profile,
 double ProbeInterferenceFloor(const ssd::DeviceProfile& profile,
                               const ssd::CalibrationTable& table,
                               const FloorProbeOptions& options) {
-  std::vector<double> fracs;
-  std::vector<uint32_t> sizes_kb;
-  if (options.full_grid) {
-    fracs = {0.99, 0.75, 0.5, 0.25, 0.01};
-    sizes_kb = {1, 2, 4, 8, 16, 32, 64, 128, 256};
-  } else {
-    fracs = {0.75, 0.5, 0.25};
-    sizes_kb = {1, 4, 16, 64, 256};
-  }
   double floor = 1e30;
-  for (double f : fracs) {
-    for (uint32_t r : sizes_kb) {
-      for (uint32_t w : sizes_kb) {
+  for (double f : kProbeReadFractions) {
+    for (uint32_t r : kProbeSizesKb) {
+      for (uint32_t w : kProbeSizesKb) {
         floor = std::min(floor, RunCell(profile, table, {f, r, w}, options));
       }
     }

@@ -58,17 +58,13 @@ class CapacityModel {
 struct FloorProbeOptions {
   SimDuration warmup = 300 * kMillisecond;
   SimDuration measure = 1 * kSecond;
-  int num_tenants = 8;
-  int workers_per_tenant = 4;  // 8 x 4 = queue depth 32
-  uint64_t seed = 17;
-  // Read/write mixes and IOP sizes probed; coarse by default.
-  bool full_grid = false;
 };
 
 // Empirically probes the interference floor of `profile`: runs mixed
-// read/write workloads over an IOP-size grid through a Libra scheduler with
-// equal allocations and returns the minimum achieved VOP/s (measured with
-// the exact cost model for `table`).
+// read/write workloads over a coarse IOP-size grid through a Libra scheduler
+// (8 tenants x 4 workers = queue depth 32, equal allocations, one fixed
+// seed) and returns the minimum achieved VOP/s (measured with the exact cost
+// model for `table`).
 double ProbeInterferenceFloor(const ssd::DeviceProfile& profile,
                               const ssd::CalibrationTable& table,
                               const FloorProbeOptions& options = {});

@@ -7,13 +7,30 @@
 
 namespace libra::iosched {
 
+namespace {
+
+// Bounded provisioning audit log: the newest records kept.
+constexpr size_t kAuditCapacity = 512;
+// SLA violation slack: an interval violates when achieved VOP/s falls below
+// (1 - kSlaTolerance) x the priced reservation while the tenant had pending
+// demand (see obs::SlaMonitor).
+constexpr double kSlaTolerance = 0.05;
+// Demand gate for those violations: the tenant must have had queued or
+// in-flight work for at least this fraction of the interval. The guarantee
+// is conditional on offered load — a tenant whose own load dipped (workers
+// blocked elsewhere, e.g. on a recovering shard) did not have its
+// reservation violated by this node.
+constexpr double kSlaDemandFraction = 0.5;
+
+}  // namespace
+
 ResourcePolicy::ResourcePolicy(sim::EventLoop& loop, IoScheduler& scheduler,
                                CapacityModel& capacity, PolicyOptions options)
     : loop_(loop),
       scheduler_(scheduler),
       capacity_(capacity),
       options_(options),
-      audit_log_(options.audit_capacity) {
+      audit_log_(kAuditCapacity) {
   assert(options_.interval > 0);
 }
 
@@ -171,51 +188,48 @@ void ResourcePolicy::RunIntervalStep() {
       last = vops_now;
       const double busy_secs = ToSeconds(scheduler_.ConsumeDemandTime(tenant));
       const bool demand_pending =
-          busy_secs >= options_.sla_demand_fraction * elapsed_secs;
+          busy_secs >= kSlaDemandFraction * elapsed_secs;
       const bool violated =
           sla_.RecordInterval(tenant, now, required[tenant], rate,
-                              demand_pending, options_.sla_tolerance);
+                              demand_pending, kSlaTolerance);
       achieved[tenant] = {rate, violated};
     }
   }
 
   // Audit trail: everything this step read and decided, per tenant.
-  if (options_.audit_capacity > 0) {
-    obs::AuditRecord rec;
-    rec.time_ns = now;
-    rec.total_required_vops = total;
-    rec.capacity_floor_vops = cap;
-    rec.scale = scale;
-    rec.overbooked = overbooked;
-    rec.tenants.reserve(reservations_.size());
-    for (const auto& [tenant, res] : reservations_) {
-      obs::AuditTenantEntry e;
-      e.tenant = tenant;
-      for (int a = kFirstAppRequest; a < kNumAppRequests; ++a) {
-        const AppRequest app = static_cast<AppRequest>(a);
-        const AppRequestProfile p = ProfileOf(tenant, app);
-        e.reserved_rps[a] = res.rps[a];
-        e.profile_direct[a] = p.direct;
-        e.profile_flush[a] = p.indirect[static_cast<int>(InternalOp::kFlush)];
-        e.profile_compact[a] =
-            p.indirect[static_cast<int>(InternalOp::kCompact)];
-        e.price[a] = PriceOf(tenant, app);
-      }
-      if (const auto cit = compaction_policies_.find(tenant);
-          cit != compaction_policies_.end()) {
-        e.compaction_policy = cit->second;
-      }
-      e.required_vops = required[tenant];
-      e.granted_vops = required[tenant] * scale;
-      const auto ach = achieved.find(tenant);
-      if (ach != achieved.end()) {
-        e.achieved_vops = ach->second.first;
-        e.sla_violated = ach->second.second;
-      }
-      rec.tenants.push_back(e);
+  obs::AuditRecord rec;
+  rec.time_ns = now;
+  rec.total_required_vops = total;
+  rec.capacity_floor_vops = cap;
+  rec.scale = scale;
+  rec.overbooked = overbooked;
+  rec.tenants.reserve(reservations_.size());
+  for (const auto& [tenant, res] : reservations_) {
+    obs::AuditTenantEntry e;
+    e.tenant = tenant;
+    for (int a = kFirstAppRequest; a < kNumAppRequests; ++a) {
+      const AppRequest app = static_cast<AppRequest>(a);
+      const AppRequestProfile p = ProfileOf(tenant, app);
+      e.reserved_rps[a] = res.rps[a];
+      e.profile_direct[a] = p.direct;
+      e.profile_flush[a] = p.indirect[static_cast<int>(InternalOp::kFlush)];
+      e.profile_compact[a] = p.indirect[static_cast<int>(InternalOp::kCompact)];
+      e.price[a] = PriceOf(tenant, app);
     }
-    audit_log_.Append(std::move(rec));
+    if (const auto cit = compaction_policies_.find(tenant);
+        cit != compaction_policies_.end()) {
+      e.compaction_policy = cit->second;
+    }
+    e.required_vops = required[tenant];
+    e.granted_vops = required[tenant] * scale;
+    const auto ach = achieved.find(tenant);
+    if (ach != achieved.end()) {
+      e.achieved_vops = ach->second.first;
+      e.sla_violated = ach->second.second;
+    }
+    rec.tenants.push_back(e);
   }
+  audit_log_.Append(std::move(rec));
 }
 
 }  // namespace libra::iosched

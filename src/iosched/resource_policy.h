@@ -72,18 +72,6 @@ enum class ProfileMode {
 struct PolicyOptions {
   SimDuration interval = 1 * kSecond;  // paper: once per second
   ProfileMode mode = ProfileMode::kFull;
-  // Bounded provisioning audit log (newest records kept); 0 disables.
-  size_t audit_capacity = 512;
-  // SLA violation slack: an interval violates when achieved VOP/s falls
-  // below (1 - sla_tolerance) x the priced reservation while the tenant
-  // had pending demand (see obs::SlaMonitor).
-  double sla_tolerance = 0.05;
-  // Demand gate for those violations: the tenant must have had queued or
-  // in-flight work for at least this fraction of the interval. The
-  // guarantee is conditional on offered load — a tenant whose own load
-  // dipped (workers blocked elsewhere, e.g. on a recovering shard) did not
-  // have its reservation violated by this node.
-  double sla_demand_fraction = 0.5;
 };
 
 // Overbooking notification passed to higher-level policies.
@@ -147,9 +135,6 @@ class ResourcePolicy {
 
   // Introspection for the evaluation harnesses.
   AppRequestProfile ProfileOf(TenantId tenant, AppRequest app) const;
-  double AllocationOf(TenantId tenant) const {
-    return scheduler_.Allocation(tenant);
-  }
 
   // Per-interval provisioning decisions: what each tenant reserved, the
   // profile components and VOP prices used, what was granted, and whether

@@ -70,7 +70,7 @@ IoScheduler::IoScheduler(sim::EventLoop& loop, ssd::SsdDevice& device,
   // max packet cost), or expensive ops would never become affordable and
   // their tenants would starve beyond what the model itself implies.
   const uint32_t max_chunk =
-      options_.enable_chunking ? options_.chunk_bytes : 1024 * 1024;
+      options_.enable_chunking ? kChunkBytes : 1024 * 1024;
   max_carry_vops_ = std::max(
       {64.0, cost_model_->Cost(ssd::IoType::kRead, max_chunk),
        cost_model_->Cost(ssd::IoType::kWrite, max_chunk)});
@@ -79,8 +79,7 @@ IoScheduler::IoScheduler(sim::EventLoop& loop, ssd::SsdDevice& device,
   }
   if (options_.span_capacity > 0) {
     spans_ = std::make_unique<obs::SpanCollector>(options_.span_capacity,
-                                                  options_.span_sample_every,
-                                                  options_.span_id_seed);
+                                                  options_.span_sample_every);
     // The tracker feeds the estimator: one ledger, so the observed q̂
     // matrix conserves the tracker's VOPs and requests bit-for-bit.
     tracker_.AttachAttribution(&spans_->attribution());
@@ -254,7 +253,7 @@ uint32_t IoScheduler::NextChunkBytes(const Op& op) const {
   if (!options_.enable_chunking) {
     return remaining;
   }
-  return std::min(remaining, options_.chunk_bytes);
+  return std::min(remaining, kChunkBytes);
 }
 
 SimDuration IoScheduler::ConsumeDemandTime(TenantId tenant) {

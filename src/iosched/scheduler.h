@@ -20,7 +20,7 @@
 //   - work conservation: an idle tenant's budget is not hoarded (classic
 //     DRR deficit reset), so spare throughput flows to busy tenants.
 //
-// IOPs larger than chunk_bytes (128KB) are split into chunks that are
+// IOPs larger than kChunkBytes (128KB) are split into chunks that are
 // scheduled independently — the responsiveness/throughput trade-off the
 // paper notes as the cause of the Fig. 7 large-read deviation.
 //
@@ -52,9 +52,11 @@ namespace libra::iosched {
 
 class IoSchedulerPeer;  // test-only access to DRR state
 
+// Chunking split threshold (0x20000).
+inline constexpr uint32_t kChunkBytes = 128 * 1024;
+
 struct SchedulerOptions {
   int queue_depth = ssd::kSsdQueueDepth;  // concurrent IOPs at the device
-  uint32_t chunk_bytes = 128 * 1024;      // split threshold (0x20000)
   bool enable_chunking = true;            // ablation switch
   double round_quantum_vops = 256.0;      // total budget added per round
   // IO lifecycle event trace: 0 disables; > 0 keeps the newest N events in
@@ -64,11 +66,10 @@ struct SchedulerOptions {
   // IO path then costs one null/validity check); > 0 keeps the newest N
   // spans (see obs::SpanCollector) and turns on attribution estimation.
   size_t span_capacity = 0;
-  // Mint 1 of every N root traces (1 = trace every request).
+  // Mint 1 of every N root traces (1 = trace every request). Span ids
+  // start in namespace 0; Cluster re-namespaces each node's collector with
+  // SpanCollector::SeedIds so ids never collide across collectors.
   uint32_t span_sample_every = 1;
-  // High-byte namespace for minted span ids (cluster nodes use their index
-  // so ids never collide across collectors).
-  uint64_t span_id_seed = 0;
 };
 
 // Per-tenant IO lifecycle statistics, always on: queue-wait (submit ->

@@ -13,6 +13,9 @@ using iosched::IoTag;
 
 namespace {
 
+// L0 file count at which foreground writes stall until compaction catches up.
+constexpr int kL0StopWrites = 12;
+
 // Internal-key order over owned memtable entries and record views alike.
 struct InternalOrder {
   template <typename A, typename B>
@@ -86,8 +89,6 @@ std::string LsmDb::WalName(uint64_t number) const {
 WalOptions LsmDb::MakeWalOptions() const {
   WalOptions w;
   w.group_commit = options_.wal_group_commit;
-  w.group_max_bytes = options_.wal_group_max_bytes;
-  w.group_max_records = options_.wal_group_max_records;
   return w;
 }
 
@@ -163,8 +164,7 @@ bool LsmDb::WriteStalled() const {
       mem_->ApproximateMemoryUsage() >= options_.write_buffer_bytes) {
     return true;  // both buffers full: wait for the flush
   }
-  return static_cast<int>(current_->levels[0].size()) >=
-         options_.l0_stop_writes;
+  return static_cast<int>(current_->levels[0].size()) >= kL0StopWrites;
 }
 
 Status LsmDb::SealMemtable() {

@@ -71,15 +71,12 @@ struct LsmOptions {
   uint32_t block_bytes = 4096;
   uint32_t write_chunk_bytes = 256 * 1024;
   uint64_t target_file_bytes = 2 * kMiB;  // compaction output granularity
-  int l0_compaction_trigger = 4;
-  int l0_stop_writes = 12;
+  int l0_compaction_trigger = 4;  // writes stall at kL0StopWrites (db.cc)
   int num_levels = 5;
   uint64_t max_bytes_level1 = 8 * kMiB;  // grows 8x per level
-  // Request-path batching knobs. Defaults preserve the paper-faithful IO
-  // pattern (one synced WAL IOP per PUT, unbounded first-use index cache).
+  // Request-path batching knob. The default preserves the paper-faithful IO
+  // pattern (one synced WAL IOP per PUT); batches keep WalOptions' bounds.
   bool wal_group_commit = false;
-  uint32_t wal_group_max_bytes = 256 * 1024;
-  uint32_t wal_group_max_records = 64;
   // Bloom filter density for tables written at flush and compaction; 0
   // writes no filter blocks (files byte-identical to the seed format).
   uint32_t bloom_bits_per_key = 0;

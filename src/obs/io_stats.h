@@ -5,7 +5,7 @@
 //                its tenant's DRR queue, i.e. deliberate Libra throttling
 //                (plus device queue-depth backpressure).
 //   service    — first dispatch to last chunk completion: device time,
-//                including chunk serialization for ops > chunk_bytes.
+//                including chunk serialization for ops > kChunkBytes.
 //
 // Everything is fixed-size and updated with plain arithmetic, so the
 // scheduler can record on its hot path without allocating.

@@ -192,10 +192,8 @@ std::string_view SpanKindName(SpanKind k) {
   return "?";
 }
 
-SpanCollector::SpanCollector(size_t capacity, uint32_t sample_every,
-                             uint64_t id_seed)
+SpanCollector::SpanCollector(size_t capacity, uint32_t sample_every)
     : ring_(std::max<size_t>(1, capacity)),
-      seed_((id_seed & 0xFF) << 56),
       sample_every_(std::max<uint32_t>(1, sample_every)) {}
 
 void SpanCollector::SeedIds(uint64_t seed) {

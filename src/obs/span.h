@@ -92,10 +92,9 @@ struct SpanRecord {
 class SpanCollector {
  public:
   // capacity: spans retained (newest win). sample_every: mint 1 of every N
-  // root traces (1 = trace everything). id_seed: high-byte namespace for
-  // minted ids so multiple collectors (cluster nodes) never collide.
-  explicit SpanCollector(size_t capacity, uint32_t sample_every = 1,
-                         uint64_t id_seed = 0);
+  // root traces (1 = trace everything). Ids start in namespace 0; see
+  // SeedIds.
+  explicit SpanCollector(size_t capacity, uint32_t sample_every = 1);
 
   // Mints a root context for a new application request, honoring the 1/N
   // sampling rate: unsampled requests get TraceContext::SampledOut() (not
@@ -113,7 +112,8 @@ class SpanCollector {
 
   void Record(const SpanRecord& rec);
 
-  // Re-namespace minted ids; must precede any minting.
+  // Re-namespaces minted ids (high byte = seed) so multiple collectors
+  // (cluster nodes) never collide; must precede any minting.
   void SeedIds(uint64_t seed);
 
   size_t capacity() const { return ring_.size(); }

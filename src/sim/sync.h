@@ -48,23 +48,6 @@ inline SleepAwaiter SleepUntil(EventLoop& loop, SimTime when) {
   return SleepAwaiter(loop, when - loop.Now());
 }
 
-// Reschedules the current coroutine behind already-pending same-instant
-// events (cooperative yield).
-class YieldAwaiter {
- public:
-  explicit YieldAwaiter(EventLoop& loop) : loop_(loop) {}
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    loop_.Post([h] { h.resume(); });
-  }
-  void await_resume() const noexcept {}
-
- private:
-  EventLoop& loop_;
-};
-
-inline YieldAwaiter Yield(EventLoop& loop) { return YieldAwaiter(loop); }
-
 // --- One-shot completion ---------------------------------------------------
 
 // Single-producer, single-consumer, single-use rendezvous. The IO scheduler
@@ -166,23 +149,6 @@ class Mutex {
   EventLoop* loop_;
   bool locked_ = false;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-// RAII-ish helper for coroutine scopes that can use it linearly.
-class MutexGuard {
- public:
-  explicit MutexGuard(Mutex& mu) : mu_(&mu) {}
-  MutexGuard(MutexGuard&& o) noexcept : mu_(std::exchange(o.mu_, nullptr)) {}
-  MutexGuard(const MutexGuard&) = delete;
-  MutexGuard& operator=(const MutexGuard&) = delete;
-  ~MutexGuard() {
-    if (mu_ != nullptr) {
-      mu_->Unlock();
-    }
-  }
-
- private:
-  Mutex* mu_;
 };
 
 // --- Condition variable ------------------------------------------------------

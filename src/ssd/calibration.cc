@@ -13,6 +13,9 @@
 namespace libra::ssd {
 namespace {
 
+// Seed of every probe's offset draws.
+constexpr uint64_t kCalibrationSeed = 42;
+
 // Interpolates IOPS at `size_bytes` from a probed (sizes_kb, iops) curve,
 // linearly in log2(size) — the natural axis for these curves (Fig. 3).
 double InterpolateIops(const std::vector<uint32_t>& sizes_kb,
@@ -98,12 +101,12 @@ double MeasureIops(const DeviceProfile& profile, IoType type, uint32_t size,
       std::min(options.working_set_bytes, profile.capacity_bytes / 2);
   dev.Prefill(working_set);
 
-  Rng rng(options.seed);
+  Rng rng(kCalibrationSeed);
   ProbeState state;
   const SimTime end_time = options.warmup + options.measure;
   {
     sim::TaskGroup group(loop);
-    for (int w = 0; w < options.queue_depth; ++w) {
+    for (int w = 0; w < kSsdQueueDepth; ++w) {
       group.Spawn(Worker(loop, dev, type, size, sequential, working_set, rng,
                          state, end_time));
     }

@@ -16,12 +16,12 @@
 
 namespace libra::ssd {
 
+// Every probe runs kSsdQueueDepth closed-loop workers from one fixed seed
+// (kCalibrationSeed in calibration.cc).
 struct CalibrationOptions {
   SimDuration warmup = 500 * kMillisecond;
   SimDuration measure = 2 * kSecond;
-  int queue_depth = 32;  // kSsdQueueDepth in the paper's experiments
   uint64_t working_set_bytes = 1ULL * kGiB;
-  uint64_t seed = 42;
 };
 
 struct CalibrationTable {

@@ -97,10 +97,6 @@ class Ftl {
 
   void InvalidatePpn(uint32_t ppn);
 
-  int DieOfBlock(uint32_t block) const {
-    return static_cast<int>(block / blocks_per_die_);
-  }
-
   const DeviceProfile& profile_;
   uint64_t logical_pages_;
   uint32_t total_blocks_;

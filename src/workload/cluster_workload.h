@@ -9,7 +9,6 @@
 #define LIBRA_SRC_WORKLOAD_CLUSTER_WORKLOAD_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "src/cluster/cluster.h"
@@ -22,16 +21,13 @@
 
 namespace libra::workload {
 
-class ClusterTenantWorkload {
+class ClusterTenantWorkload : public KeySpace {
  public:
   ClusterTenantWorkload(sim::EventLoop& loop, cluster::TenantHandle handle,
                         KvWorkloadSpec spec, uint64_t seed);
 
   // Populates the tenant's key ranges across the cluster.
   sim::Task<void> Preload();
-
-  // Spawns the closed-loop workers until `end_time`.
-  void Start(sim::TaskGroup& group, SimTime end_time);
 
   uint64_t gets_done() const { return gets_done_; }
   uint64_t puts_done() const { return puts_done_; }
@@ -48,27 +44,17 @@ class ClusterTenantWorkload {
   uint64_t deadline_errors() const { return deadline_errors_; }
   cluster::TenantHandle handle() const { return handle_; }
 
-  uint64_t put_keys() const { return put_keys_; }
-  uint64_t get_keys() const { return get_keys_; }
-  std::string GetKey(uint64_t index) const;
-  std::string PutKey(uint64_t index) const;
   // Size the preload chose for GET-range object `index` (for recomputing
   // expected values in correctness checks).
   uint64_t GetObjectSize(uint64_t index) const;
 
  private:
-  sim::Task<void> Worker(SimTime end_time);
+  sim::Task<void> Worker(SimTime end_time) override;
+  void CountError(const Status& s);
 
   sim::EventLoop& loop_;
   cluster::TenantHandle handle_;
-  KvWorkloadSpec spec_;
   uint64_t seed_;
-  Rng rng_;
-  std::unique_ptr<LogNormalSize> get_dist_;
-  std::unique_ptr<LogNormalSize> put_dist_;
-  std::unique_ptr<ZipfGenerator> zipf_;
-  uint64_t get_keys_ = 0;
-  uint64_t put_keys_ = 0;
   uint64_t gets_done_ = 0;
   uint64_t puts_done_ = 0;
   uint64_t scans_done_ = 0;
@@ -78,8 +64,6 @@ class ClusterTenantWorkload {
   uint64_t put_errors_ = 0;
   uint64_t unavailable_errors_ = 0;
   uint64_t deadline_errors_ = 0;
-
-  void CountError(const Status& s);
 };
 
 }  // namespace libra::workload

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 
 namespace libra::workload {
 
@@ -67,57 +68,95 @@ sim::Task<void> RawIoWorkload::Worker(SimTime end_time) {
   }
 }
 
-// --- KvTenantWorkload ---
+// --- KeySpace ---
 
-KvTenantWorkload::KvTenantWorkload(sim::EventLoop& loop, kv::StorageNode& node,
-                                   iosched::TenantId tenant,
-                                   KvWorkloadSpec spec, uint64_t seed)
-    : loop_(loop),
-      node_(node),
-      tenant_(tenant),
-      spec_(spec),
+namespace {
+
+uint64_t KeysFor(uint64_t live_bytes, double mean_bytes) {
+  return std::max<uint64_t>(
+      16, live_bytes / static_cast<uint64_t>(std::max(1.0, mean_bytes)));
+}
+
+}  // namespace
+
+KeySpace::KeySpace(const KvWorkloadSpec& spec, uint64_t seed)
+    : spec_(spec),
       rng_(seed),
       get_dist_(MakeDist(spec.get_size)),
       put_dist_(MakeDist(spec.put_size)) {
-  put_keys_ = std::max<uint64_t>(
-      16, spec_.live_bytes_target /
-              static_cast<uint64_t>(std::max(1.0, spec_.put_size.mean_bytes)));
-  get_keys_ =
-      spec_.disjoint_get_range
-          ? std::max<uint64_t>(
-                16, spec_.live_bytes_target /
-                        static_cast<uint64_t>(
-                            std::max(1.0, spec_.get_size.mean_bytes)))
-          : put_keys_;
+  put_keys_ = KeysFor(spec_.live_bytes_target, spec_.put_size.mean_bytes);
+  get_keys_ = spec_.disjoint_get_range
+                  ? KeysFor(spec_.live_bytes_target, spec_.get_size.mean_bytes)
+                  : put_keys_;
   if (spec_.zipf_theta > 0.0) {
     zipf_ = std::make_unique<ZipfGenerator>(std::max(get_keys_, put_keys_),
                                             spec_.zipf_theta);
   }
 }
 
-std::string KvTenantWorkload::GetKey(uint64_t index) const {
+void KeySpace::Start(sim::TaskGroup& group, SimTime end_time) {
+  for (int w = 0; w < spec_.workers; ++w) {
+    group.Spawn(Worker(end_time));
+  }
+}
+
+std::string KeySpace::GetKey(uint64_t index) const {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), spec_.disjoint_get_range ? "g%010llu" : "p%010llu",
+  std::snprintf(buf, sizeof(buf),
+                spec_.disjoint_get_range ? "g%010llu" : "p%010llu",
                 static_cast<unsigned long long>(index));
   return spec_.key_prefix + buf;
 }
 
-std::string KvTenantWorkload::PutKey(uint64_t index) const {
+std::string KeySpace::PutKey(uint64_t index) const {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "p%010llu",
                 static_cast<unsigned long long>(index));
   return spec_.key_prefix + buf;
 }
 
+KeySpace::Request KeySpace::Next() {
+  Request req;
+  if (spec_.scan_fraction > 0.0 && rng_.Bernoulli(spec_.scan_fraction)) {
+    // Scans start at a uniformly drawn GET-range key.
+    req.op = Op::kScan;
+    req.key = GetKey(rng_.NextU64(get_keys_));
+  } else if (rng_.Bernoulli(spec_.get_fraction)) {
+    req.op = Op::kGet;
+    req.key = GetKey(zipf_ != nullptr ? zipf_->Sample(rng_) % get_keys_
+                                      : rng_.NextU64(get_keys_));
+    // "#" sorts above the digit tail, so the miss key lands between this
+    // live key and its successor — in range for table pruning, absent from
+    // every filter.
+    if (spec_.get_absent_fraction > 0.0 &&
+        rng_.Bernoulli(spec_.get_absent_fraction)) {
+      req.key.push_back('#');
+    }
+  } else {
+    req.op = Op::kPut;
+    req.key = PutKey(zipf_ != nullptr ? zipf_->Sample(rng_) % put_keys_
+                                      : rng_.NextU64(put_keys_));
+    req.put_bytes = put_dist_.Sample(rng_);
+  }
+  return req;
+}
+
+// --- KvTenantWorkload ---
+
+KvTenantWorkload::KvTenantWorkload(sim::EventLoop& loop, kv::StorageNode& node,
+                                   iosched::TenantId tenant,
+                                   KvWorkloadSpec spec, uint64_t seed)
+    : KeySpace(spec, seed), loop_(loop), node_(node), tenant_(tenant) {}
+
 sim::Task<void> KvTenantWorkload::Preload() {
   // PUT range (churned by the workload).
-  for (uint64_t i = 0; i < put_keys_; ++i) {
+  for (uint64_t i = 0; i < put_keys(); ++i) {
     const std::string key = PutKey(i);
     co_await node_.Put(tenant_, key, MakeValue(key, put_dist_.Sample(rng_)));
   }
   // GET range (stable objects), when disjoint.
   if (spec_.disjoint_get_range) {
-    for (uint64_t i = 0; i < get_keys_; ++i) {
+    for (uint64_t i = 0; i < get_keys(); ++i) {
       const std::string key = GetKey(i);
       co_await node_.Put(tenant_, key,
                          MakeValue(key, get_dist_.Sample(rng_)));
@@ -125,45 +164,27 @@ sim::Task<void> KvTenantWorkload::Preload() {
   }
 }
 
-void KvTenantWorkload::Start(sim::TaskGroup& group, SimTime end_time) {
-  for (int w = 0; w < spec_.workers; ++w) {
-    group.Spawn(Worker(end_time));
-  }
-}
-
 sim::Task<void> KvTenantWorkload::Worker(SimTime end_time) {
   while (loop_.Now() < end_time) {
-    // The scan_fraction > 0 short-circuit is load-bearing: at the default 0
-    // no Bernoulli is drawn, so the GET/PUT RNG stream (and with it every
-    // historical run) is byte-for-byte unchanged.
-    if (spec_.scan_fraction > 0.0 && rng_.Bernoulli(spec_.scan_fraction)) {
-      const uint64_t idx = rng_.NextU64(get_keys_);
-      const lsm::LsmDb::ScanResult r = co_await node_.Scan(
-          tenant_, GetKey(idx), std::string(),
-          static_cast<size_t>(std::max(1, spec_.scan_span)));
-      scan_keys_returned_ += r.entries.size();
-      ++scans_done_;
-    } else if (rng_.Bernoulli(spec_.get_fraction)) {
-      const uint64_t idx = zipf_ != nullptr ? zipf_->Sample(rng_) % get_keys_
-                                            : rng_.NextU64(get_keys_);
-      std::string key = GetKey(idx);
-      // Same short-circuit contract as scan_fraction: at the default 0 no
-      // Bernoulli is drawn. "#" sorts above the digit tail, so the miss key
-      // lands between this live key and its successor — in range for table
-      // pruning, absent from every filter.
-      if (spec_.get_absent_fraction > 0.0 &&
-          rng_.Bernoulli(spec_.get_absent_fraction)) {
-        key.push_back('#');
+    const Request req = Next();
+    switch (req.op) {
+      case Op::kScan: {
+        const lsm::LsmDb::ScanResult r = co_await node_.Scan(
+            tenant_, req.key, std::string(),
+            static_cast<size_t>(std::max(1, spec_.scan_span)));
+        scan_keys_returned_ += r.entries.size();
+        ++scans_done_;
+        break;
       }
-      co_await node_.Get(tenant_, key);
-      ++gets_done_;
-    } else {
-      const uint64_t idx = zipf_ != nullptr ? zipf_->Sample(rng_) % put_keys_
-                                            : rng_.NextU64(put_keys_);
-      const std::string key = PutKey(idx);
-      co_await node_.Put(tenant_, key,
-                         MakeValue(key, put_dist_.Sample(rng_)));
-      ++puts_done_;
+      case Op::kGet:
+        co_await node_.Get(tenant_, req.key);
+        ++gets_done_;
+        break;
+      case Op::kPut:
+        co_await node_.Put(tenant_, req.key,
+                           MakeValue(req.key, req.put_bytes));
+        ++puts_done_;
+        break;
     }
   }
 }

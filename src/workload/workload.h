@@ -3,7 +3,8 @@
 // RawIoWorkload drives the Libra scheduler directly with backlogged
 // low-level reads/writes (paper §4.2/§6.2 experiments: Figs. 4, 5, 7, 9).
 // KvTenantWorkload drives the full storage node with GET/PUT mixes and
-// log-normal request sizes (Figs. 2, 10, 11, 12). Both are closed-loop:
+// log-normal request sizes (Figs. 2, 10, 11, 12), drawn from a KeySpace it
+// shares with the cluster driver (cluster_workload.h). Both are closed-loop:
 // a fixed number of workers each keep one request outstanding, matching the
 // paper's "backlogged demand specified by a bounded number of concurrent IO
 // request workers".
@@ -103,7 +104,54 @@ struct KvWorkloadSpec {
   std::string key_prefix;
 };
 
-class KvTenantWorkload {
+// The key space and request stream both KV drivers (KvTenantWorkload on one
+// node, ClusterTenantWorkload through the cluster) share: GET/PUT key counts
+// sized from spec.live_bytes_target, key names, the optional Zipf skew, the
+// size distributions and the per-request draws. A driver implements Worker
+// and issues what Next() draws.
+class KeySpace {
+ public:
+  virtual ~KeySpace() = default;
+  KeySpace(const KeySpace&) = delete;
+  KeySpace& operator=(const KeySpace&) = delete;
+
+  // Spawns spec.workers closed-loop workers until `end_time`.
+  void Start(sim::TaskGroup& group, SimTime end_time);
+
+  uint64_t get_keys() const { return get_keys_; }
+  uint64_t put_keys() const { return put_keys_; }
+  std::string GetKey(uint64_t index) const;
+  std::string PutKey(uint64_t index) const;
+
+ protected:
+  enum class Op { kScan, kGet, kPut };
+  struct Request {
+    Op op = Op::kGet;
+    std::string key;         // SCAN: the start key
+    uint64_t put_bytes = 0;  // PUT only: the value size
+  };
+
+  KeySpace(const KvWorkloadSpec& spec, uint64_t seed);
+
+  virtual sim::Task<void> Worker(SimTime end_time) = 0;
+
+  // Draws the next request. The scan_fraction and get_absent_fraction
+  // Bernoullis are drawn only when those fractions are positive, so the
+  // default mix draws exactly the historical GET/PUT RNG stream.
+  Request Next();
+
+  KvWorkloadSpec spec_;
+  Rng rng_;
+  LogNormalSize get_dist_;
+  LogNormalSize put_dist_;
+
+ private:
+  uint64_t get_keys_ = 0;
+  uint64_t put_keys_ = 0;
+  std::unique_ptr<ZipfGenerator> zipf_;
+};
+
+class KvTenantWorkload : public KeySpace {
  public:
   KvTenantWorkload(sim::EventLoop& loop, kv::StorageNode& node,
                    iosched::TenantId tenant, KvWorkloadSpec spec,
@@ -111,9 +159,6 @@ class KvTenantWorkload {
 
   // Populates the tenant's key ranges (runs to completion on the loop).
   sim::Task<void> Preload();
-
-  // Spawns the closed-loop workers until `end_time`.
-  void Start(sim::TaskGroup& group, SimTime end_time);
 
   uint64_t gets_done() const { return gets_done_; }
   uint64_t puts_done() const { return puts_done_; }
@@ -123,21 +168,11 @@ class KvTenantWorkload {
   iosched::TenantId tenant() const { return tenant_; }
 
  private:
-  sim::Task<void> Worker(SimTime end_time);
-
-  std::string GetKey(uint64_t index) const;
-  std::string PutKey(uint64_t index) const;
+  sim::Task<void> Worker(SimTime end_time) override;
 
   sim::EventLoop& loop_;
   kv::StorageNode& node_;
   iosched::TenantId tenant_;
-  KvWorkloadSpec spec_;
-  Rng rng_;
-  LogNormalSize get_dist_;
-  LogNormalSize put_dist_;
-  std::unique_ptr<ZipfGenerator> zipf_;
-  uint64_t get_keys_ = 0;
-  uint64_t put_keys_ = 0;
   uint64_t gets_done_ = 0;
   uint64_t puts_done_ = 0;
   uint64_t scans_done_ = 0;

@@ -153,6 +153,62 @@ TEST(GlobalProvisionerTest, HysteresisStopsSteadyStateThrash) {
   EXPECT_EQ(prov.splits_applied(), converged);
 }
 
+// Writes and reads back each of `keys` once, `gap` apart (perfbench's
+// tenant_scale request pair): the same per-node request counts every time it
+// runs.
+sim::Task<void> PutGetEach(sim::EventLoop* loop, TenantHandle tenant,
+                           std::vector<std::string> keys, SimDuration gap) {
+  for (const std::string& k : keys) {
+    co_await tenant.Put(k, "v");
+    co_await tenant.Get(k);
+    co_await sim::SleepFor(*loop, gap);
+  }
+}
+
+// tenant_scale's shape (RF 2, a 20 GET/s + 10 PUT/s reservation, a handful of
+// PUT + readback pairs per tenant per interval) with the demand held steady
+// for ten intervals: each tenant gets exactly one demand-driven split away
+// from the slot-proportional admission split, then hysteresis holds it. So
+// tenant_scale's ~one split record per tenant (its 2.5 s run has a single
+// resplit step, at 2 s) is that first split, not churn.
+TEST(GlobalProvisionerTest, SteadyDemandSplitsEachTenantOnce) {
+  sim::EventLoop loop;
+  ClusterOptions opt = TestOptions();
+  opt.replication_factor = 2;
+  Cluster cl(loop, opt);
+  constexpr TenantId kTenants = 4;
+  std::vector<TenantHandle> handles;
+  for (TenantId t = 1; t <= kTenants; ++t) {
+    handles.push_back(cl.AddTenant(t, GlobalReservation{20.0, 10.0}).value());
+  }
+  std::vector<std::string> keys;
+  for (int i = 0; i < 6; ++i) {
+    keys.push_back("k-" + std::to_string(i));
+  }
+
+  GlobalProvisioner& prov = cl.provisioner();
+  prov.RunIntervalStep();  // the first step only records a demand baseline
+  for (int round = 0; round < 10; ++round) {
+    {
+      sim::TaskGroup group(loop);
+      for (const TenantHandle& h : handles) {
+        group.Spawn(PutGetEach(&loop, h, keys, 100 * kMillisecond));
+      }
+      loop.Run();
+    }
+    prov.RunIntervalStep();
+  }
+
+  std::vector<int> splits(kTenants + 1, 0);
+  for (const auto& rec : cl.rebalance_log().records()) {
+    ASSERT_EQ(rec.kind, obs::RebalanceRecord::Kind::kSplit);
+    ++splits[rec.tenant];
+  }
+  for (TenantId t = 1; t <= kTenants; ++t) {
+    EXPECT_EQ(splits[t], 1) << "tenant " << t;
+  }
+}
+
 TEST(GlobalProvisionerTest, NoDemandKeepsSlotProportionalSplit) {
   sim::EventLoop loop;
   Cluster cl(loop, TestOptions());

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -38,6 +39,33 @@ TEST(ShardMapTest, SeedChangesPlacement) {
     }
   }
   EXPECT_GT(moved, 0);
+}
+
+// The default ring (kVnodesPerNode points per node, the default seed) pins
+// every placement: a change to the ring construction or its hashing moves
+// tenants between nodes, which determinism checks alone would not notice.
+TEST(ShardMapTest, DefaultPlacementIsPinned) {
+  ShardMapOptions opt;
+  opt.num_nodes = 4;
+  opt.shards_per_tenant = 8;
+  opt.replication_factor = 2;
+  ShardMap map(opt);
+  // kWant[tenant][slot] = {home, follower}.
+  constexpr int kWant[4][8][2] = {
+      {{0, 2}, {0, 2}, {2, 3}, {3, 1}, {2, 3}, {0, 1}, {1, 2}, {0, 1}},
+      {{2, 3}, {2, 1}, {0, 2}, {1, 0}, {0, 2}, {0, 1}, {2, 0}, {1, 0}},
+      {{2, 0}, {3, 1}, {2, 0}, {1, 2}, {1, 3}, {0, 1}, {3, 0}, {3, 0}},
+      {{2, 3}, {3, 1}, {3, 0}, {2, 3}, {2, 0}, {1, 0}, {0, 1}, {3, 2}},
+  };
+  for (uint32_t tenant = 0; tenant < 4; ++tenant) {
+    for (int s = 0; s < opt.shards_per_tenant; ++s) {
+      const int* want = kWant[tenant][s];
+      EXPECT_EQ(map.HomeOf(tenant, s), want[0]) << tenant << "/" << s;
+      EXPECT_EQ(map.ReplicasOf(tenant, s),
+                (std::vector<int>{want[0], want[1]}))
+          << tenant << "/" << s;
+    }
+  }
 }
 
 TEST(ShardMapTest, PlacementsInRangeAndCoverEveryNode) {

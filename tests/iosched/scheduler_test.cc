@@ -414,7 +414,7 @@ uint64_t ChunksForRead(Rig& rig, uint32_t size) {
 
 TEST(SchedulerTest, IoOfExactlyChunkBytesIsOneChunk) {
   Rig rig;
-  const uint32_t chunk = SchedulerOptions{}.chunk_bytes;
+  const uint32_t chunk = kChunkBytes;
   EXPECT_EQ(ChunksForRead(rig, chunk), 1u);
   EXPECT_EQ(rig.sched.tracker().Stats(0).read_ops, 1u);
   EXPECT_EQ(rig.sched.tracker().Stats(0).read_bytes, chunk);
@@ -422,7 +422,7 @@ TEST(SchedulerTest, IoOfExactlyChunkBytesIsOneChunk) {
 
 TEST(SchedulerTest, IoOneByteOverChunkBytesSplitsInTwo) {
   Rig rig;
-  const uint32_t chunk = SchedulerOptions{}.chunk_bytes;
+  const uint32_t chunk = kChunkBytes;
   EXPECT_EQ(ChunksForRead(rig, chunk + 1), 2u);
   // Physical split: a full chunk plus a 1-byte remainder.
   EXPECT_EQ(rig.sched.tracker().Stats(0).read_ops, 2u);
@@ -431,7 +431,7 @@ TEST(SchedulerTest, IoOneByteOverChunkBytesSplitsInTwo) {
 
 TEST(SchedulerTest, IoOneByteUnderChunkBytesIsOneChunk) {
   Rig rig;
-  const uint32_t chunk = SchedulerOptions{}.chunk_bytes;
+  const uint32_t chunk = kChunkBytes;
   EXPECT_EQ(ChunksForRead(rig, chunk - 1), 1u);
   EXPECT_EQ(rig.sched.tracker().Stats(0).read_ops, 1u);
 }

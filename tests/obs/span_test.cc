@@ -84,8 +84,10 @@ TEST(SpanCollectorTest, MintChildSharesTraceId) {
 }
 
 TEST(SpanCollectorTest, SeedNamespacesIds) {
-  SpanCollector a(4, 1, /*id_seed=*/1);
-  SpanCollector b(4, 1, /*id_seed=*/2);
+  SpanCollector a(4);
+  SpanCollector b(4);
+  a.SeedIds(1);
+  b.SeedIds(2);
   const TraceContext ca = a.MintTrace();
   const TraceContext cb = b.MintTrace();
   EXPECT_NE(ca.trace_id, cb.trace_id);

@@ -29,7 +29,8 @@ TEST(FtlTest, PlacementCoversAllPages) {
 }
 
 TEST(FtlTest, SmallWriteUsesOneDie) {
-  Ftl ftl(SmallProfile());
+  const DeviceProfile p = SmallProfile();  // Ftl keeps a reference
+  Ftl ftl(p);
   const FtlWriteResult r = ftl.Write(0, 1);
   ASSERT_EQ(r.placements.size(), 1u);
   EXPECT_EQ(r.placements[0].pages, 1u);
@@ -52,14 +53,16 @@ TEST(FtlTest, MediumWriteUsesStripeGranularity) {
 }
 
 TEST(FtlTest, RoundRobinRotatesDies) {
-  Ftl ftl(SmallProfile());
+  const DeviceProfile p = SmallProfile();  // Ftl keeps a reference
+  Ftl ftl(p);
   const int die0 = ftl.Write(0, 1).placements[0].die;
   const int die1 = ftl.Write(1, 1).placements[0].die;
   EXPECT_NE(die0, die1);
 }
 
 TEST(FtlTest, NoGcWhileSpaceAmple) {
-  Ftl ftl(SmallProfile());
+  const DeviceProfile p = SmallProfile();  // Ftl keeps a reference
+  Ftl ftl(p);
   const FtlWriteResult r = ftl.Write(0, 256);
   EXPECT_TRUE(r.gc.empty());
   EXPECT_EQ(ftl.gc_pages_moved(), 0u);
